@@ -46,6 +46,10 @@ HOLDS = "holds"
 FAILS = "fails"
 HOLDS_TRIVIALLY = "holds-by-trivial-criterion"
 
+# Most terms a truncated binomial series may take before the input is
+# refused with ResourceLimitError: near-1 base ratios need ~log(b)/log(ratio).
+_DEPTH_CAP = 256
+
 
 def sqrt_rational(x: Fraction) -> Fraction | None:
     """Exact square root of a non-negative rational, or None."""
@@ -129,7 +133,7 @@ class SqrtApprox:
 
 
 def sqrt_approximation(
-    f: PowerSumForm, j: int, depth_cap: int = 256
+    f: PowerSumForm, j: int, depth_cap: int = _DEPTH_CAP
 ) -> SqrtApprox:
     """Build the truncated expansion of ``sqrt(f(2n+j))``.
 
@@ -282,7 +286,8 @@ def _extract_root(F: PowerSumForm) -> PowerSumForm | None:
     None means no candidate exists for this parity: either the leading
     coefficient of the root is irrational, or a kept term has a
     non-integer base (the root then falls outside the integral-base
-    ring).
+    ring).  Raises ``ResourceLimitError`` when the series would need more
+    than ``_DEPTH_CAP`` terms.
     """
     lead, base = dominant(F)
     root_lead = sqrt_rational(lead)
@@ -294,8 +299,20 @@ def _extract_root(F: PowerSumForm) -> PowerSumForm | None:
     if len(F) == 1:
         series = normalize([(1, 1)])
     else:
+        # The root's first tail term has base B2/sqrt(B1) (B1 > B2 the two
+        # largest bases of F) and a nonzero coefficient; every other series
+        # term has a smaller base.  Kept with a non-integer base, it alone
+        # rules the candidate out, so skip building the series.
+        first_tail_base = F.terms[1][1] / root_base
+        if first_tail_base >= 1 and first_tail_base.denominator != 1:
+            return None
         ratio = dominant_ratio(F)
         limit = _floor_log_ratio(root_base, ratio)
+        if limit > _DEPTH_CAP:
+            raise ResourceLimitError(
+                f"root series depth {limit} exceeds cap {_DEPTH_CAP} "
+                "(base ratio too close to 1)"
+            )
         series = _binomial_sqrt_series(
             relative_tail(F), limit, 1 / root_base, keep_equal=True
         )

@@ -77,7 +77,7 @@ def bounded_pell_solutions(query: PellQuery) -> PellScan:
         return (y_max is not None and y > y_max) or y.bit_length() > bits_cap
 
     out: list[PellSolution] = []
-    for _, p, q, value in pell_value_stream(D):
+    for _, p, q, value, _ in pell_value_stream(D):
         if past_cap(q):
             break
         g = 1
@@ -168,7 +168,7 @@ def min_solution_growth(
             skipped.append((n, "square"))
             continue
         best: PellSolution | None = None
-        for _, p, q, value in pell_value_stream(D):
+        for _, p, q, value, _ in pell_value_stream(D):
             if (y_limit is not None and q > y_limit) or q.bit_length() > bits_cap:
                 break
             if abs(value) <= C - 1:
@@ -255,21 +255,13 @@ def partial_quotient_profile(
         return None
     bound = c * n
     a0 = isqrt(D)
-    m, d, a = 0, 1, a0
-    pm1, qm1 = 1, 0
-    p, q = a0, 1
-    steps = 0
     max_a = 0
     exponents: list[float] = []
-    while steps < max_steps and math.log(q) < bound:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
+    for steps, p, q, value, a in pell_value_stream(D):
+        if steps >= max_steps or not math.log(q) < bound:
+            break
         max_a = max(max_a, a)
         if q > 1:
-            err_log = math.log(d) - math.log(q) - math.log(a0 * q + p)
+            err_log = math.log(abs(value)) - math.log(q) - math.log(a0 * q + p)
             exponents.append(-err_log / math.log(q))
-        p, pm1 = a * p + pm1, p
-        q, qm1 = a * q + qm1, q
-        steps += 1
     return PartialQuotientProfile(n, D, steps, max_a, tuple(exponents))

@@ -3,9 +3,9 @@
 ``run_family`` expands sqrt(f(n)) over a range of n and collects one
 record per n: the integer f(n), squareness, the period length r, the
 palindrome check, the sign of the fundamental Pell value, and the
-largest partial quotient of the period.  Output is byte-identical across
-runs and worker counts; per-n work may fan out to processes since every
-value involved is exact.
+largest partial quotient of the period, which is the closing quotient
+2*a0.  Output is byte-identical across runs and worker counts; per-n
+work may fan out to processes since every value involved is exact.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from .forms import (
     scale,
 )
 from .surd import (
-    DEFAULT_DIGIT_BUDGET,
     DEFAULT_WORD_CAP,
     cf_sqrt,
+    is_palindromic_period,
     is_perfect_square,
-    isqrt,
 )
 
 PRESETS: dict[str, str] = {
@@ -54,15 +53,13 @@ class ExperimentConfig:
     n_start: int
     n_end: int
     word_cap: int = DEFAULT_WORD_CAP
-    y_limit: int | None = None
-    digit_budget: int = DEFAULT_DIGIT_BUDGET
     format: str = "csv"
     jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.n_end < self.n_start:
             raise ValueError("empty n range")
-        if self.word_cap < 1 or self.digit_budget < 1 or self.jobs < 1:
+        if self.word_cap < 1 or self.jobs < 1:
             raise ValueError("caps and worker counts must be positive")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
@@ -95,29 +92,17 @@ def _family_row(args: tuple[PowerSumForm, int, int]) -> FamilyRecord:
     if is_perfect_square(D):
         return FamilyRecord(n, D, True, None, None, None, None, "square")
 
-    # Inline period scan: O(1) state, word stored only up to the cap,
-    # running maximum of the partial quotients either way.
-    a0 = isqrt(D)
-    m, d, a = 0, 1, a0
-    word: list[int] = []
-    r = 0
-    max_a = 0
-    while True:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        r += 1
-        if a > max_a:
-            max_a = a
-        if r <= word_cap:
-            word.append(a)
-        if d == 1:
-            break
-    if r > word_cap:
-        return FamilyRecord(n, D, False, r, None, -1 if r % 2 else 1, max_a, "word-cap")
-    body = word[:-1]
-    palindrome_ok = body == body[::-1]
-    return FamilyRecord(n, D, False, r, palindrome_ok, -1 if r % 2 else 1, max_a, "")
+    exp = cf_sqrt(D, word_cap)
+    capped = exp.period is None
+    return FamilyRecord(
+        n, D, False, exp.r,
+        None if capped else is_palindromic_period(exp.period),
+        -1 if exp.r % 2 else 1,
+        # The closing quotient 2*a0 is the largest of the period: for
+        # 0 < k < r, d_k >= 2 and m_k <= a0 give a_k <= a0.
+        2 * exp.a0,
+        "word-cap" if capped else "",
+    )
 
 
 def run_family(config: ExperimentConfig) -> list[FamilyRecord]:

@@ -5,12 +5,18 @@ The classical surd recurrence
 runs with O(1) retained state; the division is always exact.  For a
 non-square D the expansion is [a0; {a1, ..., a_{r-1}, 2*a0}] and the
 period ends at the first step with d == 1.
+
+No other module runs the recurrence.  Here ``_period_walk`` goes once
+around the period (``cf_sqrt``, ``period_length``), ``pell_value_stream``
+builds the convergents with their Pell values, and ``cf_stream`` is the
+public per-step view of the state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 DEFAULT_WORD_CAP = 10**6
@@ -102,14 +108,13 @@ def cf_stream(D: int) -> Iterator[tuple[int, SurdState]]:
         k += 1
 
 
-def cf_sqrt(D: int, word_cap: int = DEFAULT_WORD_CAP) -> CFExpansion:
-    """Expand sqrt(D) and detect the period (first step with d == 1).
+def _period_walk(D: int, word_cap: int) -> tuple[int, int, tuple[int, ...] | None]:
+    """Run the recurrence once around the period of sqrt(D).
 
-    If the period exceeds ``word_cap`` the word is elided but r stays
-    exact; that is not an error.
+    Returns ``(a0, r, word)``: the word a_1..a_r is kept while
+    r <= ``word_cap`` and is None past it.  This is the only loop that
+    runs to the first step with d == 1.
     """
-    if word_cap < 1:
-        raise ValueError("word_cap must be positive")
     a0 = _check_surd(D)
     m, d, a = 0, 1, a0
     word: list[int] = []
@@ -122,22 +127,24 @@ def cf_sqrt(D: int, word_cap: int = DEFAULT_WORD_CAP) -> CFExpansion:
         if r <= word_cap:
             word.append(a)
         if d == 1:
-            break
-    return CFExpansion(D, a0, tuple(word) if r <= word_cap else None, r)
+            return a0, r, tuple(word) if r <= word_cap else None
+
+
+def cf_sqrt(D: int, word_cap: int = DEFAULT_WORD_CAP) -> CFExpansion:
+    """Expand sqrt(D) and detect the period (first step with d == 1).
+
+    If the period exceeds ``word_cap`` the word is elided but r stays
+    exact; that is not an error.
+    """
+    if word_cap < 1:
+        raise ValueError("word_cap must be positive")
+    a0, r, word = _period_walk(D, word_cap)
+    return CFExpansion(D, a0, word, r)
 
 
 def period_length(D: int) -> int:
     """Length r of the period of sqrt(D), with O(1) memory."""
-    a0 = _check_surd(D)
-    m, d, a = 0, 1, a0
-    r = 0
-    while True:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        r += 1
-        if d == 1:
-            return r
+    return _period_walk(D, 0)[1]
 
 
 def period_bound_ratio(D: int, r: int | None = None) -> float:
@@ -157,25 +164,16 @@ def convergents(D: int, count: int) -> list[Convergent]:
     """First ``count`` convergents p_j/q_j of sqrt(D)."""
     if count < 1:
         raise ValueError("count must be positive")
-    out: list[Convergent] = []
-    stream = cf_stream(D)
-    pm1, qm1 = 1, 0
-    pm2, qm2 = 0, 1
-    for j in range(count):
-        a, _ = next(stream)
-        p = a * pm1 + pm2
-        q = a * qm1 + qm2
-        out.append(Convergent(p, q, j))
-        pm2, qm2, pm1, qm1 = pm1, qm1, p, q
-    return out
+    return [Convergent(p, q, j) for j, p, q, _, _ in islice(pell_value_stream(D), count)]
 
 
-def pell_value_stream(D: int) -> Iterator[tuple[int, int, int, int]]:
-    """Yield ``(j, p_j, q_j, p_j**2 - D*q_j**2)`` for j = 0, 1, 2, ...
+def pell_value_stream(D: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield ``(j, p_j, q_j, p_j**2 - D*q_j**2, a_{j+1})`` for j = 0, 1, 2, ...
 
     The value comes from the surd recurrence identity
     ``p_j**2 - D*q_j**2 = (-1)**(j+1) * d_{j+1}``, avoiding a large
-    squaring per step.  Callers that return solutions re-verify them
+    squaring per step; ``a_{j+1}`` is the partial quotient that builds
+    the next convergent.  Callers that return solutions re-verify them
     directly.
     """
     a0 = _check_surd(D)
@@ -187,7 +185,7 @@ def pell_value_stream(D: int) -> Iterator[tuple[int, int, int, int]]:
         m = d * a - m
         d = (D - m * m) // d
         a = (a0 + m) // d
-        yield j, p, q, (d if j % 2 else -d)
+        yield j, p, q, (d if j % 2 else -d), a
         p, pm1 = a * p + pm1, p
         q, qm1 = a * q + qm1, q
         j += 1
@@ -200,7 +198,7 @@ def fundamental_pell(D: int, period_cap: int = DEFAULT_PERIOD_CAP) -> PellSoluti
     ``period_cap``, since the solution then has on the order of
     ``period_cap`` digits.
     """
-    for j, p, q, value in pell_value_stream(D):
+    for j, p, q, value, _ in pell_value_stream(D):
         if abs(value) == 1:
             if p * p - D * q * q != value:
                 raise AssertionError("pell value identity violated")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import time
+
+import pytest
 
 from surdlab.cli import main
 
@@ -230,3 +233,128 @@ def test_identities_json(capsys):
     code, out, _ = run(capsys, "identities", "--n-max", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+# Golden bytes of two documented outputs; any change to a digit or a
+# separator fails here.
+PROFILE_PQ_GOLDEN = (
+    "n,D,prefix_len,max_partial_quotient,min_eff_exponent,max_eff_exponent\n"
+    "2,33,18,10,2.019347,3.713132\n"
+    "3,129,25,22,2.014391,3.362303\n"
+    "4,513,32,44,2.012216,3.686962\n"
+    "5,2049,35,30,2.008973,2.986147\n"
+    "6,8193,44,60,2.007580,6.036423\n"
+    "7,32769,45,45,2.003517,2.600004\n"
+    "8,131073,50,45,2.002983,3.058380\n"
+    "9,524289,64,60,2.003294,2.651939\n"
+    "10,2097153,69,37,2.003244,2.626285\n"
+    "11,8388609,80,40,2.001583,3.403064\n"
+    "12,33554433,79,180,2.000176,3.072857\n"
+)
+
+FAMILY_TITLE_JSON_GOLDEN = (
+    '[\n'
+    '  {\n'
+    '    "n": 1,\n'
+    '    "D": 9,\n'
+    '    "is_square": true,\n'
+    '    "r": null,\n'
+    '    "palindrome_ok": null,\n'
+    '    "pell_sign": null,\n'
+    '    "max_pq_prefix": null,\n'
+    '    "notes": "square"\n'
+    '  },\n'
+    '  {\n'
+    '    "n": 2,\n'
+    '    "D": 33,\n'
+    '    "is_square": false,\n'
+    '    "r": 4,\n'
+    '    "palindrome_ok": true,\n'
+    '    "pell_sign": 1,\n'
+    '    "max_pq_prefix": 10,\n'
+    '    "notes": ""\n'
+    '  },\n'
+    '  {\n'
+    '    "n": 3,\n'
+    '    "D": 129,\n'
+    '    "is_square": false,\n'
+    '    "r": 10,\n'
+    '    "palindrome_ok": true,\n'
+    '    "pell_sign": 1,\n'
+    '    "max_pq_prefix": 22,\n'
+    '    "notes": ""\n'
+    '  },\n'
+    '  {\n'
+    '    "n": 4,\n'
+    '    "D": 513,\n'
+    '    "is_square": false,\n'
+    '    "r": 16,\n'
+    '    "palindrome_ok": true,\n'
+    '    "pell_sign": 1,\n'
+    '    "max_pq_prefix": 44,\n'
+    '    "notes": ""\n'
+    '  },\n'
+    '  {\n'
+    '    "n": 5,\n'
+    '    "D": 2049,\n'
+    '    "is_square": false,\n'
+    '    "r": 44,\n'
+    '    "palindrome_ok": true,\n'
+    '    "pell_sign": 1,\n'
+    '    "max_pq_prefix": 90,\n'
+    '    "notes": ""\n'
+    '  },\n'
+    '  {\n'
+    '    "n": 6,\n'
+    '    "D": 8193,\n'
+    '    "is_square": false,\n'
+    '    "r": 74,\n'
+    '    "palindrome_ok": true,\n'
+    '    "pell_sign": 1,\n'
+    '    "max_pq_prefix": 180,\n'
+    '    "notes": ""\n'
+    '  }\n'
+    ']\n'
+)
+
+
+def test_profile_pq_golden_bytes(capsys):
+    code, out, _ = run(
+        capsys, "profile", "pq", "--form", "2*4^n + 1", "--n", "2..12", "--c", "8"
+    )
+    assert code == 0
+    assert out == PROFILE_PQ_GOLDEN
+
+
+def test_family_title_json_golden_bytes(capsys):
+    code, out, _ = run(
+        capsys, "family", "--preset", "title", "--n", "1..6", "--format", "json"
+    )
+    assert code == 0
+    assert out == FAMILY_TITLE_JSON_GOLDEN
+
+
+@pytest.mark.parametrize("flag", ["--digit-budget", "--word-cap", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-5", "x"])
+def test_count_flags_reject_non_positive_values(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["pell", "scan", "--D", "33", "--C", "2", flag, value])
+    assert exc.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_hypothesis_near_one_base_ratio_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "hypothesis", "check", "--form", "1001^n + 1000^n")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert "verdict: holds" in out.splitlines()
+
+
+def test_hypothesis_root_depth_cap_is_exit_3(capsys):
+    # Integer first tail base (9900^2/10000 = 9801), so the root series
+    # is needed, and it takes 458 terms.
+    code, out, err = run(capsys, "hypothesis", "check", "--form", "10000^n + 9900^n")
+    assert code == 3
+    assert out == ""
+    assert "exceeds cap 256" in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surdlab import expansion
 from surdlab.expansion import (
     FAILS,
     HOLDS,
@@ -282,6 +284,47 @@ def test_decide_hypothesis_consistency(raw):
         assert trivial_criterion(f)
     if trivial_criterion(f):
         assert report.holds
+
+
+def _long_division_root(F):
+    """Formal square root of ``F`` down to base 1, by long division.
+
+    Independent of the binomial series: each root term cancels the
+    leading term of the remainder ``F - root**2``.  The answer equals the
+    full series' one, since a single kept non-integer base already rules
+    the candidate out.
+    """
+    c1, B1 = F.terms[0]
+    a, r = sqrt_rational(c1), sqrt_rational(B1)
+    if a is None or r is None:
+        return None
+    root = normalize([(a, r)])
+    rem = add(F, scale(mul(root, root), -1))
+    while not rem.is_zero and rem.terms[0][1] >= r:
+        c, B = rem.terms[0]
+        if (B / r).denominator != 1:
+            return None
+        term = normalize([(c / (2 * a), B / r)])
+        rem = add(rem, scale(add(scale(mul(root, term), 2), mul(term, term)), -1))
+        root = add(root, term)
+    return root
+
+
+def test_decide_matches_long_division_root_on_grid(monkeypatch):
+    forms = [
+        normalize([(c1, b1), (c2, b2)])
+        for b1, b2 in itertools.combinations(range(40, 0, -1), 2)
+        for c1, c2 in ((1, 1), (4, -3), (2, 1))
+    ]
+    bases = (40, 36, 32, 27, 25, 18, 16, 12, 9, 8, 6, 4, 3, 2, 1)
+    forms += [
+        normalize([(1, b1), (2, b2), (-1, b3)])
+        for b1, b2, b3 in itertools.combinations(bases, 3)
+    ]
+    got = [decide_hypothesis(f) for f in forms]
+    monkeypatch.setattr(expansion, "_extract_root", _long_division_root)
+    assert got == [decide_hypothesis(f) for f in forms]
+    assert {report.verdict for report in got} == {FAILS, HOLDS, HOLDS_TRIVIALLY}
 
 
 # --- growth exponents -------------------------------------------------------

@@ -62,6 +62,7 @@ def test_family_flags_word_cap():
     assert rec.palindrome_ok is None
     assert rec.pell_sign == 1
     assert rec.max_pq_prefix == 22
+    assert rec == FamilyRecord(3, 129, False, 10, None, 1, 22, "word-cap")
 
 
 def test_family_non_integer_values():

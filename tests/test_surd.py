@@ -144,6 +144,12 @@ def test_word_cap_elides_word_but_keeps_r():
     assert exp.r == 10
 
 
+def test_word_cap_boundary():
+    # r(129) = 10: a cap of exactly r keeps the whole word, one less elides it.
+    assert cf_sqrt(129, word_cap=10).period == (2, 1, 3, 1, 6, 1, 3, 1, 2, 22)
+    assert cf_sqrt(129, word_cap=9).period is None
+
+
 def test_period_length_examples():
     assert period_length(2) == 1
     assert period_length(33) == 4
@@ -161,6 +167,25 @@ def test_period_bound_ratio_stays_bounded():
     assert max(v for D, v in ratios.items() if D >= 50) < 1
 
 
+def plain_period_word(D: int) -> list[int]:
+    """Period word a_1..a_r of sqrt(D), independent of surdlab.
+
+    Uses the division-free form of the recurrence,
+    Q_{k+1} = Q_{k-1} + a_k*(P_k - P_{k+1}) with Q_{-1} = D.
+    """
+    a0 = math.isqrt(D)
+    P, Q, Q_prev, a = 0, 1, D, a0
+    word = []
+    while True:
+        P_next = a * Q - P
+        Q, Q_prev = Q_prev + a * (P - P_next), Q
+        P = P_next
+        a = (a0 + P) // Q
+        word.append(a)
+        if Q == 1:
+            return word
+
+
 def test_period_length_agrees_with_word_up_to_1e5():
     for D in range(2, 100001):
         if is_perfect_square(D):
@@ -168,6 +193,22 @@ def test_period_length_agrees_with_word_up_to_1e5():
         exp = cf_sqrt(D)
         assert period_length(D) == exp.r
         assert exp.period is not None and len(exp.period) == exp.r
+        word = plain_period_word(D)
+        assert exp.period == tuple(word)
+        # The closing quotient is the largest, which family rows rely on.
+        assert max(word) == 2 * exp.a0
+
+
+def test_cf_sqrt_matches_sympy_on_sample_up_to_2000():
+    sympy = pytest.importorskip("sympy")
+    # Every 23rd D: sympy's symbolic floor costs ~40 ms per D, and the
+    # plain recurrence above already covers every D up to 1e5.
+    for D in range(2, 2001, 23):
+        if is_perfect_square(D):
+            continue
+        exp = cf_sqrt(D)
+        assert sympy.continued_fraction_periodic(0, 1, D) == [exp.a0, list(exp.period)]
+        assert period_length(D) == exp.r
 
 
 def test_palindrome_and_closing_quotient_up_to_2000():
@@ -216,8 +257,17 @@ def test_pell_value_stream_matches_direct_computation():
     for D in range(2, 300):
         if is_perfect_square(D):
             continue
-        for _, p, q, value in islice(pell_value_stream(D), 12):
+        for _, p, q, value, _ in islice(pell_value_stream(D), 12):
             assert p * p - D * q * q == value
+
+
+def test_pell_value_stream_next_quotient_and_d():
+    # a_{j+1} and |value| = d_{j+1} agree with the per-step cf_stream view.
+    for D in (2, 13, 33, 129, 1021):
+        pairs = zip(islice(pell_value_stream(D), 40), islice(cf_stream(D), 1, 41))
+        for (_, _, _, value, a_next), (a, state) in pairs:
+            assert a_next == a
+            assert abs(value) == state.d
 
 
 def test_fundamental_pell_frozen():
