@@ -31,6 +31,7 @@ from .surd import (
     DEFAULT_WORD_CAP,
     ResourceLimitError,
     SquareInputError,
+    _digit_budget_bits,
     cf_sqrt,
     fundamental_pell,
     is_perfect_square,
@@ -67,12 +68,15 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     common.add_argument("--word-cap", type=_positive_int, default=DEFAULT_WORD_CAP,
                         help="longest period word kept in memory")
-    common.add_argument("--digit-budget", type=_positive_int, default=DEFAULT_DIGIT_BUDGET,
-                        help="decimal-digit cap for solution denominators")
     common.add_argument("--out", default=None, help="write output to FILE instead of stdout")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 when any resource cap was hit")
     return common
+
+
+def _add_digit_budget(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--digit-budget", type=_positive_int, default=DEFAULT_DIGIT_BUDGET,
+                   help="decimal-digit cap for Pell solutions")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("D", type=int)
     p = cf_sub.add_parser("pell", parents=[common], help="fundamental Pell solution")
     p.add_argument("D", type=int)
+    _add_digit_budget(p)
 
     pell = sub.add_parser("pell", help="bounded Pell-type solution scans")
     pell_sub = pell.add_subparsers(dest="pell_command", required=True)
@@ -107,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "family scans default to the digit budget")
     p.add_argument("--all", action="store_true",
                    help="with --form: list every solution, not just the minimal one")
+    _add_digit_budget(p)
 
     growth = sub.add_parser("growth", help="growth statistics along a family")
     growth_sub = growth.add_subparsers(dest="growth_command", required=True)
@@ -211,6 +217,13 @@ def _run_cf(args, out: _Output) -> int:
         return 0
     if args.cf_command == "pell":
         sol = fundamental_pell(args.D)
+        # Before any decimal conversion, which would cost more than the
+        # solution itself and trip the interpreter's str() digit limit.
+        if sol.X.bit_length() > _digit_budget_bits(args.digit_budget):
+            raise ResourceLimitError(
+                f"X for D={args.D} has {sol.X.bit_length()} bits, "
+                f"over the {args.digit_budget}-digit budget"
+            )
         if fmt == "json":
             out.line(json.dumps({"D": args.D, "X": sol.X, "Y": sol.Y, "value": sol.value}))
         elif fmt == "csv":
@@ -253,7 +266,7 @@ def _run_pell_scan(args, out: _Output) -> int:
         raise ValueError("pell scan over a family needs --n a..b")
     n_range = _parse_n_range(args.n)
     if args.all:
-        out.line("n,D,X,Y,value")
+        rows = []
         for n in n_range:
             D = eval_int(form, n)
             if D <= 0 or is_perfect_square(D):
@@ -263,7 +276,15 @@ def _run_pell_scan(args, out: _Output) -> int:
                 PellQuery(D, args.C, y_limit=scan_y_limit,
                           digit_budget=args.digit_budget)
             )
-            for s in scan.solutions:
+            rows += [(n, D, s) for s in scan.solutions]
+        if (args.format or "csv") == "json":
+            out.line(json.dumps([
+                {"n": n, "D": D, "X": s.X, "Y": s.Y, "value": s.value}
+                for n, D, s in rows
+            ]))
+        else:
+            out.line("n,D,X,Y,value")
+            for n, D, s in rows:
                 out.line(f"{n},{D},{s.X},{s.Y},{s.value}")
         return 0
     result = min_solution_growth(

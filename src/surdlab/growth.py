@@ -17,15 +17,12 @@ from .forms import PowerSumForm, classify, eval_exact, eval_int
 from .surd import (
     DEFAULT_DIGIT_BUDGET,
     PellSolution,
+    _digit_budget_bits,
     is_perfect_square,
     isqrt,
     pell_value_stream,
 )
 from .expansion import HypothesisReport, decide_hypothesis
-
-
-def _digit_budget_bits(digit_budget: int) -> int:
-    return int(digit_budget * math.log2(10)) + 1
 
 
 @dataclass(frozen=True)

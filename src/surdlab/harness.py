@@ -108,9 +108,10 @@ def _family_row(args: tuple[PowerSumForm, int, int]) -> FamilyRecord:
 def run_family(config: ExperimentConfig) -> list[FamilyRecord]:
     """One record per n, ascending; deterministic for any worker count."""
     tasks = [(config.form, n, config.word_cap) for n in config.n_range]
-    if config.jobs == 1:
+    workers = min(config.jobs, len(tasks))
+    if workers <= 1:
         return [_family_row(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_family_row, tasks))
 
 

@@ -7,9 +7,11 @@ non-square D the expansion is [a0; {a1, ..., a_{r-1}, 2*a0}] and the
 period ends at the first step with d == 1.
 
 No other module runs the recurrence.  Here ``_period_walk`` goes once
-around the period (``cf_sqrt``, ``period_length``), ``pell_value_stream``
-builds the convergents with their Pell values, and ``cf_stream`` is the
-public per-step view of the state.
+around the period (``cf_sqrt``, ``period_length``), ``_half_period`` stops
+at the palindrome midpoint of the period (``fundamental_pell``, which
+builds its big integers once from that half word),
+``pell_value_stream`` builds the convergents with their Pell values, and
+``cf_stream`` is the public per-step view of the state.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ class SquareInputError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A configured resource cap (period length, digit budget) was hit."""
+
+
+def _digit_budget_bits(digit_budget: int) -> int:
+    """Bit length past which an integer surely exceeds ``digit_budget`` digits."""
+    return int(digit_budget * math.log2(10)) + 1
 
 
 def isqrt(n: int) -> int:
@@ -191,20 +198,85 @@ def pell_value_stream(D: int) -> Iterator[tuple[int, int, int, int, int]]:
         j += 1
 
 
+def _half_period(D: int, period_cap: int) -> tuple[int, int, list[int]]:
+    """Walk sqrt(D) to the palindrome midpoint of its period.
+
+    Returns ``(a0, r, [a_1, ..., a_h])`` with h = r // 2, which fixes the
+    whole word: a_k == a_{r-k} for 0 < k < r.  The midpoint is the first
+    k >= 1 with m_{k+1} == m_k (r = 2k) or the first k >= 0 with
+    d_{k+1} == d_k (r = 2k + 1; k = 0 is r = 1).  Raises
+    ``ResourceLimitError`` iff r - 1 > ``period_cap``, after at most
+    about ``period_cap / 2`` steps.
+    """
+    a0 = _check_surd(D)
+    m, d, a = 0, 1, a0
+    half: list[int] = []
+    k = 0
+    while True:
+        m_next = d * a - m
+        d_next = (D - m_next * m_next) // d
+        if k and m_next == m:
+            r = 2 * k
+            break
+        if d_next == d:
+            r = 2 * k + 1
+            break
+        if 2 * k + 1 > period_cap:
+            r = 2 * k + 2  # a lower bound, and already past the cap
+            break
+        m, d = m_next, d_next
+        a = (a0 + m) // d
+        half.append(a)
+        k += 1
+    if r - 1 > period_cap:
+        raise ResourceLimitError(f"period of sqrt({D}) exceeds cap {period_cap}")
+    return a0, r, half
+
+
+def _word_matrix(word: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
+    """Product of [[a, 1], [1, 0]] over ``word[lo:hi]`` as ``(x, y, z, w)``.
+
+    Balanced binary splitting (Haible & Papanikolaou 1998): the big
+    multiplications pair operands of equal size, so building a convergent
+    costs O(M(n) log n) instead of the O(n**2) of the step-by-step update.
+    """
+    if hi - lo <= 16:
+        x, y, z, w = 1, 0, 0, 1
+        for a in word[lo:hi]:
+            x, y = a * x + y, x
+            z, w = a * z + w, z
+        return x, y, z, w
+    mid = (lo + hi) // 2
+    x1, y1, z1, w1 = _word_matrix(word, lo, mid)
+    x2, y2, z2, w2 = _word_matrix(word, mid, hi)
+    return (x1 * x2 + y1 * z2, x1 * y2 + y1 * w2,
+            z1 * x2 + w1 * z2, z1 * y2 + w1 * w2)
+
+
 def fundamental_pell(D: int, period_cap: int = DEFAULT_PERIOD_CAP) -> PellSolution:
     """Minimal solution of |X**2 - D*Y**2| = 1: the convergent at r-1.
 
-    Refuses (``ResourceLimitError``) when the period exceeds
-    ``period_cap``, since the solution then has on the order of
-    ``period_cap`` digits.
+    With A_k = [[a_k, 1], [1, 0]], (p_{r-1}, q_{r-1}) is the first column
+    of A_0 A_1 ... A_{r-1}.  The word is a palindrome and each A_k is
+    symmetric, so with L = A_1 ... A_{h'} built from the half word the
+    middle factor is L A_h L^T for even r (h' = h - 1) and L L^T for odd
+    r (h' = h).  The value is (-1)**r.
+
+    Refuses (``ResourceLimitError``) when r - 1 > ``period_cap``, since
+    the solution then has on the order of ``period_cap`` digits.
     """
-    for j, p, q, value, _ in pell_value_stream(D):
-        if abs(value) == 1:
-            if p * p - D * q * q != value:
-                raise AssertionError("pell value identity violated")
-            return PellSolution(p, q, value)
-        if j >= period_cap:
-            raise ResourceLimitError(
-                f"period of sqrt({D}) exceeds cap {period_cap}"
-            )
-    raise AssertionError("unreachable")
+    a0, r, half = _half_period(D, period_cap)
+    h = len(half)
+    if r % 2:
+        x, y, z, w = _word_matrix(half, 0, h)
+        q = x * x + y * y
+        p = a0 * q + x * z + y * w
+    else:
+        x, y, z, w = _word_matrix(half, 0, h - 1)
+        a = half[-1]
+        q = x * (a * x + 2 * y)
+        p = a0 * q + x * (a * z + w) + y * z
+    value = -1 if r % 2 else 1
+    if p * p - D * q * q != value:
+        raise AssertionError("pell value identity violated")
+    return PellSolution(p, q, value)

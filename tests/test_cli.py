@@ -87,6 +87,36 @@ def test_pell_scan_family(capsys):
     assert "slope" in err
 
 
+PELL_SCAN_ALL_ARGS = ("pell", "scan", "--form", "2*4^n + 1", "--C", "3", "--n", "1..4",
+                      "--all", "--y-limit", "1000000")
+PELL_SCAN_ALL_ROWS = [
+    (2, 33, 23, 4, 1),
+    (2, 33, 1057, 184, 1),
+    (2, 33, 48599, 8460, 1),
+    (2, 33, 2234497, 388976, 1),
+    (3, 129, 16855, 1484, 1),
+    (4, 513, 13771351, 608020, 1),
+]
+
+
+def test_pell_scan_all_csv_golden_bytes(capsys):
+    code, out, err = run(capsys, *PELL_SCAN_ALL_ARGS)
+    assert code == 0
+    assert out == "n,D,X,Y,value\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in PELL_SCAN_ALL_ROWS
+    )
+    assert "# n=1 skipped" in err
+
+
+def test_pell_scan_all_json(capsys):
+    code, out, err = run(capsys, *PELL_SCAN_ALL_ARGS, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [
+        dict(zip(("n", "D", "X", "Y", "value"), row)) for row in PELL_SCAN_ALL_ROWS
+    ]
+    assert "# n=1 skipped" in err
+
+
 def test_pell_scan_needs_exactly_one_target(capsys):
     code, _, err = run(capsys, "pell", "scan", "--C", "2")
     assert code == 2
@@ -341,6 +371,38 @@ def test_count_flags_reject_non_positive_values(capsys, flag, value):
         main(["pell", "scan", "--D", "33", "--C", "2", flag, value])
     assert exc.value.code == 2
     assert "not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--preset", "title", "--n", "1..4"],
+    ["cf", "sqrt", "33"],
+    ["growth", "denom", "--form", "3^n + 1", "--b", "2", "--n", "1..5"],
+])
+def test_digit_budget_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--digit-budget", "1"])
+    assert exc.value.code == 2
+    assert "--digit-budget" in capsys.readouterr().err
+
+
+def test_cf_pell_digit_budget_is_exit_3(capsys):
+    # D = 2*4^18 + 1: r = 65,096 and X has ~34,000 digits.
+    code, out, err = run(capsys, "cf", "pell", "137438953473", "--digit-budget", "10")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap: ")
+    assert "10-digit budget" in err
+
+
+def test_cf_pell_digit_budget_boundary(capsys):
+    # X = 48 for D = 47: two digits pass a 2-digit budget, not a 1-digit one.
+    code, out, _ = run(capsys, "cf", "pell", "47", "--digit-budget", "2")
+    assert code == 0
+    assert out == "X: 48\nY: 7\nvalue: 1\n"
+    code, out, err = run(capsys, "cf", "pell", "47", "--digit-budget", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap: ")
 
 
 def test_hypothesis_near_one_base_ratio_is_fast(capsys):

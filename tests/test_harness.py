@@ -161,3 +161,16 @@ def test_identity_checks_report_counterexamples():
     assert not report.ok
     assert len(report.failures) == 2
     assert "expected" in report.failures[0]
+
+
+def test_run_family_clamps_pool_to_task_count(monkeypatch):
+    import surdlab.harness as harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool started")
+
+    expected = emit(run_family(_config(TITLE, 5, 5)), "csv")
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    assert emit(run_family(_config(TITLE, 5, 5, jobs=64)), "csv") == expected
+    with pytest.raises(AssertionError, match="pool started"):
+        run_family(_config(TITLE, 5, 6, jobs=64))

@@ -319,6 +319,74 @@ def test_fundamental_pell_respects_period_cap():
         fundamental_pell(1021, period_cap=3)  # r(1021) = 21
 
 
+def linear_pell(D: int) -> tuple[int, int, int, int]:
+    """(p_{r-1}, q_{r-1}, (-1)**r, r) built one quotient at a time.
+
+    Independent of surdlab: the word comes from ``plain_period_word`` and
+    the convergent from the linear recurrence p_j = a_j*p_{j-1} + p_{j-2}.
+    """
+    a0 = math.isqrt(D)
+    word = plain_period_word(D)
+    p_prev, q_prev, p, q = 1, 0, a0, 1
+    for a in word[:-1]:
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+    return p, q, (-1) ** len(word), len(word)
+
+
+def test_fundamental_pell_matches_linear_oracle_up_to_5000():
+    periods = set()
+    for D in range(2, 5001):
+        if is_perfect_square(D):
+            continue
+        X, Y, value, r = linear_pell(D)
+        assert fundamental_pell(D) == PellSolution(X, Y, value)
+        assert X * X - D * Y * Y == value
+        periods.add(r)
+    # Both short cases of the midpoint rule: n^2 + 1 (r = 1), n^2 + 2 (r = 2).
+    assert {1, 2, 3, 4} <= periods
+    assert fundamental_pell(26) == PellSolution(5, 1, -1)
+    assert fundamental_pell(27) == PellSolution(26, 5, 1)
+
+
+@pytest.mark.parametrize(
+    "D, r", [(3, 2), (6, 2), (41, 3), (33, 4), (19, 6), (181, 21), (1019, 26), (1021, 49)]
+)
+def test_fundamental_pell_cap_boundary(D, r):
+    assert len(plain_period_word(D)) == r
+    assert fundamental_pell(D, period_cap=r - 1) == fundamental_pell(D)
+    with pytest.raises(ResourceLimitError, match=f"exceeds cap {r - 2}"):
+        fundamental_pell(D, period_cap=r - 2)
+
+
+def test_fundamental_pell_cap_zero_allows_period_one():
+    assert fundamental_pell(101, period_cap=0) == PellSolution(10, 1, -1)
+
+
+def test_fundamental_pell_anchor_matches_linear_oracle():
+    D = 5_000_000_009
+    X, Y, value, r = linear_pell(D)
+    assert r == 31_776
+    assert fundamental_pell(D) == PellSolution(X, Y, value)
+
+
+def test_fundamental_pell_matches_sympy_diop_dn():
+    diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    for D in range(2, 2001):
+        if is_perfect_square(D):
+            continue
+        sol = fundamental_pell(D)
+        negative = diophantine.diop_DN(D, -1)
+        if sol.value == -1:
+            assert negative == [(sol.X, sol.Y)]
+            # The least solution of X^2 - D*Y^2 = 1 is the square of it.
+            positive = (sol.X**2 + D * sol.Y**2, 2 * sol.X * sol.Y)
+        else:
+            assert negative == []
+            positive = (sol.X, sol.Y)
+        assert diophantine.diop_DN(D, 1) == [positive]
+
+
 def test_expansion_dataclass_shape():
     exp = cf_sqrt(33)
     assert isinstance(exp, CFExpansion)
