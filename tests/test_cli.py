@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shlex
 import time
 
 import pytest
@@ -420,3 +422,132 @@ def test_hypothesis_root_depth_cap_is_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "exceeds cap 256" in err
+
+
+# Exit code and the sha256 (first 16 hex digits) of stdout and stderr for
+# every subcommand under each --format, plus edge cases: an elided word, a
+# period of 1, empty and incomplete scans, a digit-capped min-Y row, --all
+# over squares, profiles without exponents or rows, every family note, and
+# exit 2 and 3 paths.  Taken from the CLI before its emission was shared.
+GOLDEN_MATRIX = [
+    ('cf sqrt 129', 0, "399e8b9a62ff8900", "e3b0c44298fc1c14"),
+    ('cf sqrt 129 --format text', 0, "399e8b9a62ff8900", "e3b0c44298fc1c14"),
+    ('cf sqrt 129 --format csv', 0, "6d488eee0e746107", "e3b0c44298fc1c14"),
+    ('cf sqrt 129 --format json', 0, "5747d804955a164a", "e3b0c44298fc1c14"),
+    ('cf sqrt 129 --word-cap 3', 0, "ddb1684ebce5ea4f", "e3b0c44298fc1c14"),
+    ('cf sqrt 129 --word-cap 3 --format text', 0, "ddb1684ebce5ea4f", "e3b0c44298fc1c14"),
+    ('cf sqrt 129 --word-cap 3 --format csv', 0, "87d6f22eb0bc328a", "e3b0c44298fc1c14"),
+    ('cf sqrt 129 --word-cap 3 --format json', 0, "5fd797051cf2ef44", "e3b0c44298fc1c14"),
+    ('cf sqrt 2', 0, "a050c2a41bd72eab", "e3b0c44298fc1c14"),
+    ('cf sqrt 2 --format text', 0, "a050c2a41bd72eab", "e3b0c44298fc1c14"),
+    ('cf sqrt 2 --format csv', 0, "90d031cb74c28927", "e3b0c44298fc1c14"),
+    ('cf sqrt 2 --format json', 0, "f24d763418fb296a", "e3b0c44298fc1c14"),
+    ('cf period 129', 0, "a11deaca34facbbe", "e3b0c44298fc1c14"),
+    ('cf period 129 --format text', 0, "a11deaca34facbbe", "e3b0c44298fc1c14"),
+    ('cf period 129 --format csv', 0, "3c4a229748d72809", "e3b0c44298fc1c14"),
+    ('cf period 129 --format json', 0, "8bef6d729ec1377f", "e3b0c44298fc1c14"),
+    ('cf pell 129', 0, "1d857e5082e611a3", "e3b0c44298fc1c14"),
+    ('cf pell 129 --format text', 0, "1d857e5082e611a3", "e3b0c44298fc1c14"),
+    ('cf pell 129 --format csv', 0, "95d0ab7ebb2802b8", "e3b0c44298fc1c14"),
+    ('cf pell 129 --format json', 0, "b7a05bbcac1aed91", "e3b0c44298fc1c14"),
+    ('pell scan --D 33 --C 4 --y-limit 10', 0, "b948f0d7152e8779", "e3b0c44298fc1c14"),
+    ('pell scan --D 33 --C 4 --y-limit 10 --format text', 0, "b948f0d7152e8779", "e3b0c44298fc1c14"),
+    ('pell scan --D 33 --C 4 --y-limit 10 --format csv', 0, "b948f0d7152e8779", "e3b0c44298fc1c14"),
+    ('pell scan --D 33 --C 4 --y-limit 10 --format json', 0, "c0b24a7cdf97fda9", "e3b0c44298fc1c14"),
+    ('pell scan --D 33 --C 1 --y-limit 3', 0, "ff99d9c768e808ea", "e3b0c44298fc1c14"),
+    ('pell scan --D 33 --C 1 --y-limit 3 --format text', 0, "ff99d9c768e808ea", "e3b0c44298fc1c14"),
+    ('pell scan --D 33 --C 1 --y-limit 3 --format csv', 0, "ff99d9c768e808ea", "e3b0c44298fc1c14"),
+    ('pell scan --D 33 --C 1 --y-limit 3 --format json', 0, "e5ce3fa5e684168a", "e3b0c44298fc1c14"),
+    ('pell scan --D 33 --C 40 --y-limit 10', 0, "38403be0318737af", "0afcb50d47081977"),
+    ('pell scan --D 33 --C 40 --y-limit 10 --format text', 0, "38403be0318737af", "0afcb50d47081977"),
+    ('pell scan --D 33 --C 40 --y-limit 10 --format csv', 0, "38403be0318737af", "0afcb50d47081977"),
+    ('pell scan --D 33 --C 40 --y-limit 10 --format json', 0, "7521370fbe66b118", "0afcb50d47081977"),
+    ("pell scan --form '2*4^n + 1' --C 2 --n 1..6", 0, "6a96b1320f5a151c", "42bac1d2c36967a9"),
+    ("pell scan --form '2*4^n + 1' --C 2 --n 1..6 --format text", 0, "6a96b1320f5a151c", "42bac1d2c36967a9"),
+    ("pell scan --form '2*4^n + 1' --C 2 --n 1..6 --format csv", 0, "6a96b1320f5a151c", "42bac1d2c36967a9"),
+    ("pell scan --form '2*4^n + 1' --C 2 --n 1..6 --format json", 0, "3fe10c9b2f94d98d", "42bac1d2c36967a9"),
+    ("pell scan --form '2*4^n + 1' --C 2 --n 1..8 --digit-budget 40", 0, "08cc2e6651bf2c9a", "d9a4e3c292694d4f"),
+    ("pell scan --form '2*4^n + 1' --C 2 --n 1..8 --digit-budget 40 --format text", 0, "08cc2e6651bf2c9a", "d9a4e3c292694d4f"),
+    ("pell scan --form '2*4^n + 1' --C 2 --n 1..8 --digit-budget 40 --format csv", 0, "08cc2e6651bf2c9a", "d9a4e3c292694d4f"),
+    ("pell scan --form '2*4^n + 1' --C 2 --n 1..8 --digit-budget 40 --format json", 0, "011f5b27626315c9", "d9a4e3c292694d4f"),
+    ("pell scan --form '4^n + 1' --C 2 --n 1..3", 0, "b9bdf7519d258142", "e848ba5ebbbfc096"),
+    ("pell scan --form '4^n + 1' --C 2 --n 1..3 --format text", 0, "b9bdf7519d258142", "e848ba5ebbbfc096"),
+    ("pell scan --form '4^n + 1' --C 2 --n 1..3 --format csv", 0, "b9bdf7519d258142", "e848ba5ebbbfc096"),
+    ("pell scan --form '4^n + 1' --C 2 --n 1..3 --format json", 0, "f6e209fb15ab8680", "e848ba5ebbbfc096"),
+    ("pell scan --form '2*4^n + 1' --C 3 --n 1..3 --all --y-limit 100000", 0, "788473fce339f214", "05bc793953141073"),
+    ("pell scan --form '2*4^n + 1' --C 3 --n 1..3 --all --y-limit 100000 --format text", 0, "788473fce339f214", "05bc793953141073"),
+    ("pell scan --form '2*4^n + 1' --C 3 --n 1..3 --all --y-limit 100000 --format csv", 0, "788473fce339f214", "05bc793953141073"),
+    ("pell scan --form '2*4^n + 1' --C 3 --n 1..3 --all --y-limit 100000 --format json", 0, "d0f316e5429a3e2f", "05bc793953141073"),
+    ("pell scan --form '4^n' --C 2 --n 1..3 --all", 0, "afc8276fd682e23a", "a71a740132a3f9a9"),
+    ("pell scan --form '4^n' --C 2 --n 1..3 --all --format text", 0, "afc8276fd682e23a", "a71a740132a3f9a9"),
+    ("pell scan --form '4^n' --C 2 --n 1..3 --all --format csv", 0, "afc8276fd682e23a", "a71a740132a3f9a9"),
+    ("pell scan --form '4^n' --C 2 --n 1..3 --all --format json", 0, "37517e5f3dc66819", "a71a740132a3f9a9"),
+    ("growth denom --form '3^n + 1' --b 2 --n 1..6", 0, "f9d19081d11e6489", "e3b0c44298fc1c14"),
+    ("growth denom --form '3^n + 1' --b 2 --n 1..6 --format text", 0, "f9d19081d11e6489", "e3b0c44298fc1c14"),
+    ("growth denom --form '3^n + 1' --b 2 --n 1..6 --format csv", 0, "f9d19081d11e6489", "e3b0c44298fc1c14"),
+    ("growth denom --form '3^n + 1' --b 2 --n 1..6 --format json", 0, "899c4eae35cd8d68", "e3b0c44298fc1c14"),
+    ("profile pq --form '2*4^n + 1' --n 1..4 --c 8", 0, "b4a340a8cc9c418e", "0f0ad02fc3515af7"),
+    ("profile pq --form '2*4^n + 1' --n 1..4 --c 8 --format text", 0, "b4a340a8cc9c418e", "0f0ad02fc3515af7"),
+    ("profile pq --form '2*4^n + 1' --n 1..4 --c 8 --format csv", 0, "b4a340a8cc9c418e", "0f0ad02fc3515af7"),
+    ("profile pq --form '2*4^n + 1' --n 1..4 --c 8 --format json", 0, "5e8c4fa9c70c73b5", "0f0ad02fc3515af7"),
+    ("profile pq --form '2*4^n + 1' --n 2..3 --c 0.1", 0, "8c1f7c091b856de5", "e3b0c44298fc1c14"),
+    ("profile pq --form '2*4^n + 1' --n 2..3 --c 0.1 --format text", 0, "8c1f7c091b856de5", "e3b0c44298fc1c14"),
+    ("profile pq --form '2*4^n + 1' --n 2..3 --c 0.1 --format csv", 0, "8c1f7c091b856de5", "e3b0c44298fc1c14"),
+    ("profile pq --form '2*4^n + 1' --n 2..3 --c 0.1 --format json", 0, "ff31dda7302466fb", "e3b0c44298fc1c14"),
+    ("profile pq --form '4^n' --n 1..3 --c 8", 0, "c52f3f7e84e946bd", "3200eabc06dd62b9"),
+    ("profile pq --form '4^n' --n 1..3 --c 8 --format text", 0, "c52f3f7e84e946bd", "3200eabc06dd62b9"),
+    ("profile pq --form '4^n' --n 1..3 --c 8 --format csv", 0, "c52f3f7e84e946bd", "3200eabc06dd62b9"),
+    ("profile pq --form '4^n' --n 1..3 --c 8 --format json", 0, "37517e5f3dc66819", "3200eabc06dd62b9"),
+    ("hypothesis check --form '4^n + 2^n + 1'", 0, "6a0ec7f28ebb1fd9", "e3b0c44298fc1c14"),
+    ("hypothesis check --form '4^n + 2^n + 1' --format text", 0, "6a0ec7f28ebb1fd9", "e3b0c44298fc1c14"),
+    ("hypothesis check --form '4^n + 2^n + 1' --format csv", 0, "6a0ec7f28ebb1fd9", "e3b0c44298fc1c14"),
+    ("hypothesis check --form '4^n + 2^n + 1' --format json", 0, "0f8f69753770429a", "e3b0c44298fc1c14"),
+    ("hypothesis check --form '2*4^n + 1'", 0, "bfd9e4cd257a8b11", "e3b0c44298fc1c14"),
+    ("hypothesis check --form '2*4^n + 1' --format text", 0, "bfd9e4cd257a8b11", "e3b0c44298fc1c14"),
+    ("hypothesis check --form '2*4^n + 1' --format csv", 0, "bfd9e4cd257a8b11", "e3b0c44298fc1c14"),
+    ("hypothesis check --form '2*4^n + 1' --format json", 0, "31c9692e49acfa0f", "e3b0c44298fc1c14"),
+    ("expand sqrt --form '2*4^n + 1' --j 0 --n-range 2..5", 0, "10632a9872c756d2", "615a0a9e3f53c79b"),
+    ("expand sqrt --form '2*4^n + 1' --j 0 --n-range 2..5 --format text", 0, "10632a9872c756d2", "615a0a9e3f53c79b"),
+    ("expand sqrt --form '2*4^n + 1' --j 0 --n-range 2..5 --format csv", 0, "10632a9872c756d2", "615a0a9e3f53c79b"),
+    ("expand sqrt --form '2*4^n + 1' --j 0 --n-range 2..5 --format json", 0, "05aaf70451e4b3d8", "615a0a9e3f53c79b"),
+    ('family --preset title --n 1..4', 0, "f9419bb7a6a5e779", "e3b0c44298fc1c14"),
+    ('family --preset title --n 1..4 --format text', 0, "f9419bb7a6a5e779", "e3b0c44298fc1c14"),
+    ('family --preset title --n 1..4 --format csv', 0, "f9419bb7a6a5e779", "e3b0c44298fc1c14"),
+    ('family --preset title --n 1..4 --format json', 0, "e01c893aa90677ba", "e3b0c44298fc1c14"),
+    ("family --form '2^n - 10' --n 1..5", 0, "dedc77ea7fedb4cc", "e3b0c44298fc1c14"),
+    ("family --form '2^n - 10' --n 1..5 --format text", 0, "dedc77ea7fedb4cc", "e3b0c44298fc1c14"),
+    ("family --form '2^n - 10' --n 1..5 --format csv", 0, "dedc77ea7fedb4cc", "e3b0c44298fc1c14"),
+    ("family --form '2^n - 10' --n 1..5 --format json", 0, "1e8d9e89d5d68a2e", "e3b0c44298fc1c14"),
+    ("family --form '(1/2)*4^n + 1' --n 0..2", 0, "5020820a27ec1eef", "e3b0c44298fc1c14"),
+    ("family --form '(1/2)*4^n + 1' --n 0..2 --format text", 0, "5020820a27ec1eef", "e3b0c44298fc1c14"),
+    ("family --form '(1/2)*4^n + 1' --n 0..2 --format csv", 0, "5020820a27ec1eef", "e3b0c44298fc1c14"),
+    ("family --form '(1/2)*4^n + 1' --n 0..2 --format json", 0, "975eed354c7820c7", "e3b0c44298fc1c14"),
+    ('family --preset title --n 3..4 --word-cap 4', 0, "b988fcdc828a7ed2", "e3b0c44298fc1c14"),
+    ('family --preset title --n 3..4 --word-cap 4 --format text', 0, "b988fcdc828a7ed2", "e3b0c44298fc1c14"),
+    ('family --preset title --n 3..4 --word-cap 4 --format csv', 0, "b988fcdc828a7ed2", "e3b0c44298fc1c14"),
+    ('family --preset title --n 3..4 --word-cap 4 --format json', 0, "05d5c7ee6a16f4b7", "e3b0c44298fc1c14"),
+    ('identities --n-max 2', 0, "767ce1a2f3540b66", "e3b0c44298fc1c14"),
+    ('identities --n-max 2 --format text', 0, "767ce1a2f3540b66", "e3b0c44298fc1c14"),
+    ('identities --n-max 2 --format csv', 0, "767ce1a2f3540b66", "e3b0c44298fc1c14"),
+    ('identities --n-max 2 --format json', 0, "2a5e602e9833944f", "e3b0c44298fc1c14"),
+    ('cf sqrt 129 --word-cap 4 --strict', 3, "ddb1684ebce5ea4f", "e3b0c44298fc1c14"),
+    ('cf sqrt 9', 2, "e3b0c44298fc1c14", "601083e14b9c0a3e"),
+    ('cf pell 47 --digit-budget 1', 3, "e3b0c44298fc1c14", "4e787eaf5496d59f"),
+    ('pell scan --C 2', 2, "e3b0c44298fc1c14", "15d11588835a29bd"),
+    ("pell scan --form '2*4^n + 1' --C 2 --n 1..8 --digit-budget 40 --strict", 3, "08cc2e6651bf2c9a", "d9a4e3c292694d4f"),
+    ('family --preset title --n 3..4 --word-cap 4 --strict', 3, "b988fcdc828a7ed2", "e3b0c44298fc1c14"),
+    ("family --form 'totally^wrong' --n 1..2", 2, "e3b0c44298fc1c14", "54cf005d5d0bc5b3"),
+    ("hypothesis check --form '10000^n + 9900^n'", 3, "e3b0c44298fc1c14", "b5654e01ced94d07"),
+]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", GOLDEN_MATRIX,
+                         ids=[case[0] for case in GOLDEN_MATRIX])
+def test_golden_matrix(capsys, argv, code, out_sha, err_sha):
+    got_code, out, err = run(capsys, *shlex.split(argv))
+    assert (got_code, _digest(out), _digest(err)) == (code, out_sha, err_sha), (out, err)
+
