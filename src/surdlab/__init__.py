@@ -69,7 +69,6 @@ from .growth import (
     PellQuery,
     PellScan,
     bounded_pell_solutions,
-    brute_force_pell,
     denominator_growth,
     least_squares_slope,
     min_solution_growth,
@@ -80,8 +79,6 @@ from .harness import (
     FamilyRecord,
     IdentityReport,
     emit,
-    emit_csv,
-    emit_json,
     preset_config,
     run_family,
     run_identity_checks,

@@ -9,7 +9,6 @@ under --strict).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import harness
@@ -165,9 +164,6 @@ class _Output:
     def write(self, text: str) -> None:
         self.chunks.append(text)
 
-    def line(self, text: str = "") -> None:
-        self.chunks.append(text + "\n")
-
     def flush(self) -> None:
         data = "".join(self.chunks)
         if self.path:
@@ -177,62 +173,54 @@ class _Output:
             sys.stdout.write(data)
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.6f}"
+def _format(args, *formats: str) -> str:
+    """The requested --format when the command offers it, else its first.
+
+    Table commands offer csv and json, so text prints CSV; report commands
+    offer text and json, so csv prints text.
+    """
+    return args.format if args.format in formats else formats[0]
+
+
+def _record(fmt: str, columns, values) -> str:
+    """One record: ``label: value`` lines, a one-row table or one object."""
+    return harness.emit_table(columns, [values], fmt, wrap=lambda objects: objects[0])
 
 
 def _run_cf(args, out: _Output) -> int:
-    fmt = args.format or "text"
+    fmt = _format(args, "text", "csv", "json")
     if args.cf_command == "sqrt":
         exp = cf_sqrt(args.D, word_cap=args.word_cap)
-        word = " ".join(map(str, exp.period)) if exp.period is not None else ""
+        word = " ".join(map(str, exp.period or ()))
         if fmt == "json":
-            out.line(json.dumps({
-                "D": exp.D, "a0": exp.a0, "r": exp.r,
-                "period": list(exp.period) if exp.period is not None else None,
-            }))
+            period = None if exp.period is None else list(exp.period)
         elif fmt == "csv":
-            out.line("D,a0,r,period")
-            out.line(f'{exp.D},{exp.a0},{exp.r},"{word}"')
+            period = f'"{word}"'
         else:
-            out.line(f"D: {exp.D}")
-            out.line(f"a0: {exp.a0}")
-            out.line(f"r: {exp.r}")
-            out.line(f"period: {word if word else '(elided)'}")
+            period = word or "(elided)"
+        out.write(_record(fmt, ("D", "a0", "r", "period"), (exp.D, exp.a0, exp.r, period)))
         if args.strict and exp.period is None:
             return 3
         return 0
     if args.cf_command == "period":
         r = period_length(args.D)
-        ratio = period_bound_ratio(args.D, r)
-        if fmt == "json":
-            out.line(json.dumps({"D": args.D, "r": r, "bound_ratio": ratio}))
-        elif fmt == "csv":
-            out.line("D,r,bound_ratio")
-            out.line(f"{args.D},{r},{_fmt_float(ratio)}")
-        else:
-            out.line(f"D: {args.D}")
-            out.line(f"r: {r}")
-            out.line(f"r / (sqrt(D) ln D): {_fmt_float(ratio)}")
+        label = "r / (sqrt(D) ln D)" if fmt == "text" else "bound_ratio"
+        out.write(_record(fmt, ("D", "r", label),
+                          (args.D, r, period_bound_ratio(args.D, r))))
         return 0
     if args.cf_command == "pell":
         sol = fundamental_pell(args.D)
         # Before any decimal conversion, which would cost more than the
-        # solution itself and trip the interpreter's str() digit limit.
+        # solution itself.
         if sol.X.bit_length() > _digit_budget_bits(args.digit_budget):
             raise ResourceLimitError(
                 f"X for D={args.D} has {sol.X.bit_length()} bits, "
                 f"over the {args.digit_budget}-digit budget"
             )
-        if fmt == "json":
-            out.line(json.dumps({"D": args.D, "X": sol.X, "Y": sol.Y, "value": sol.value}))
-        elif fmt == "csv":
-            out.line("D,X,Y,value")
-            out.line(f"{args.D},{sol.X},{sol.Y},{sol.value}")
-        else:
-            out.line(f"X: {sol.X}")
-            out.line(f"Y: {sol.Y}")
-            out.line(f"value: {sol.value}")
+        columns, values = ("D", "X", "Y", "value"), (args.D, sol.X, sol.Y, sol.value)
+        if fmt == "text":
+            columns, values = columns[1:], values[1:]
+        out.write(_record(fmt, columns, values))
         return 0
     raise AssertionError
 
@@ -240,22 +228,18 @@ def _run_cf(args, out: _Output) -> int:
 def _run_pell_scan(args, out: _Output) -> int:
     if (args.D is None) == (args.form is None):
         raise ValueError("pell scan needs exactly one of --D or --form")
+    fmt = _format(args, "csv", "json")
     scan_y_limit = args.y_limit if args.y_limit is not None else 10**12
     if args.D is not None:
         scan = bounded_pell_solutions(
             PellQuery(args.D, args.C, y_limit=scan_y_limit,
                       digit_budget=args.digit_budget)
         )
-        if (args.format or "csv") == "json":
-            out.line(json.dumps({
-                "D": args.D, "C": args.C, "complete": scan.complete,
-                "solutions": [{"X": s.X, "Y": s.Y, "value": s.value}
-                              for s in scan.solutions],
-            }))
-        else:
-            out.line("X,Y,value")
-            for s in scan.solutions:
-                out.line(f"{s.X},{s.Y},{s.value}")
+        out.write(harness.emit_table(
+            ("X", "Y", "value"), [(s.X, s.Y, s.value) for s in scan.solutions], fmt,
+            wrap=lambda solutions: {"D": args.D, "C": args.C, "complete": scan.complete,
+                                    "solutions": solutions},
+        ))
         if not scan.complete:
             print(f"# warning: C={args.C} > sqrt({args.D}); scan may be incomplete",
                   file=sys.stderr)
@@ -276,40 +260,26 @@ def _run_pell_scan(args, out: _Output) -> int:
                 PellQuery(D, args.C, y_limit=scan_y_limit,
                           digit_budget=args.digit_budget)
             )
-            rows += [(n, D, s) for s in scan.solutions]
-        if (args.format or "csv") == "json":
-            out.line(json.dumps([
-                {"n": n, "D": D, "X": s.X, "Y": s.Y, "value": s.value}
-                for n, D, s in rows
-            ]))
-        else:
-            out.line("n,D,X,Y,value")
-            for n, D, s in rows:
-                out.line(f"{n},{D},{s.X},{s.Y},{s.value}")
+            rows += [(n, D, s.X, s.Y, s.value) for s in scan.solutions]
+        out.write(harness.emit_table(("n", "D", "X", "Y", "value"), rows, fmt))
         return 0
     result = min_solution_growth(
         form, args.C, n_range,
         y_limit=args.y_limit, digit_budget=args.digit_budget,
     )
-    if (args.format or "csv") == "json":
-        out.line(json.dumps({
+    out.write(harness.emit_table(
+        ("n", "D", "Y_min", "value", "log_Y_min"),
+        [(rec.n, rec.metadata["D"], rec.metadata["Y"], rec.metadata["value"], rec.statistic)
+         for rec in result.records],
+        fmt, indent=2,
+        wrap=lambda records: {
             "slope": result.slope,
             "hypothesis_holds": None if result.hypothesis is None
             else result.hypothesis.holds,
-            "records": [
-                {"n": rec.n, "D": rec.metadata["D"], "Y_min": rec.metadata["Y"],
-                 "value": rec.metadata["value"], "log_Y_min": rec.statistic}
-                for rec in result.records
-            ],
+            "records": records,
             "skipped": [{"n": n, "reason": reason} for n, reason in result.skipped],
-        }, indent=2))
-    else:
-        out.line("n,D,Y_min,value,log_Y_min")
-        for rec in result.records:
-            out.line(
-                f"{rec.n},{rec.metadata['D']},{rec.metadata['Y']},"
-                f"{rec.metadata['value']},{_fmt_float(rec.statistic)}"
-            )
+        },
+    ))
     for n, reason in result.skipped:
         print(f"# n={n} skipped: {reason}", file=sys.stderr)
     if result.slope is not None:
@@ -326,74 +296,59 @@ def _run_pell_scan(args, out: _Output) -> int:
 def _run_growth_denom(args, out: _Output) -> int:
     form = parse_form(args.form)
     records = denominator_growth(form, args.b, _parse_n_range(args.n))
-    if (args.format or "csv") == "json":
-        out.line(json.dumps([
-            {"n": r.n, "denominator": r.metadata["denominator"],
-             "log_denominator": r.statistic, "flagged": r.flagged}
-            for r in records
-        ], indent=2))
-    else:
-        out.line("n,denominator,log_denominator,flagged")
-        for r in records:
-            out.line(
-                f"{r.n},{r.metadata['denominator']},{_fmt_float(r.statistic)},"
-                f"{'true' if r.flagged else 'false'}"
-            )
+    out.write(harness.emit_table(
+        ("n", "denominator", "log_denominator", "flagged"),
+        [(r.n, r.metadata["denominator"], r.statistic, r.flagged) for r in records],
+        _format(args, "csv", "json"), indent=2,
+    ))
     return 0
 
 
 def _run_profile_pq(args, out: _Output) -> int:
     form = parse_form(args.form)
-    profiles = []
+    fmt = _format(args, "csv", "json")
+    columns = ["n", "D", "prefix_len", "max_partial_quotient"]
+    if fmt == "json":
+        columns.append("effective_exponents")
+    else:
+        columns += ["min_eff_exponent", "max_eff_exponent"]
+    rows = []
     for n in _parse_n_range(args.n):
         prof = partial_quotient_profile(form, n, args.c)
         if prof is None:
             print(f"# n={n} skipped: square", file=sys.stderr)
             continue
-        profiles.append(prof)
-    if (args.format or "csv") == "json":
-        out.line(json.dumps([
-            {"n": p.n, "D": p.D, "prefix_len": p.prefix_length,
-             "max_partial_quotient": p.max_partial_quotient,
-             "effective_exponents": list(p.effective_exponents)}
-            for p in profiles
-        ], indent=2))
-        return 0
-    out.line("n,D,prefix_len,max_partial_quotient,min_eff_exponent,max_eff_exponent")
-    for p in profiles:
-        if p.effective_exponents:
-            lo = _fmt_float(min(p.effective_exponents))
-            hi = _fmt_float(max(p.effective_exponents))
+        exps = prof.effective_exponents
+        if fmt == "json":
+            ends = [list(exps)]
         else:
-            lo = hi = ""
-        out.line(f"{p.n},{p.D},{p.prefix_length},{p.max_partial_quotient},{lo},{hi}")
+            ends = [min(exps, default=None), max(exps, default=None)]
+        rows.append((prof.n, prof.D, prof.prefix_length, prof.max_partial_quotient, *ends))
+    out.write(harness.emit_table(columns, rows, fmt, indent=2))
     return 0
 
 
 def _run_hypothesis(args, out: _Output) -> int:
     form = parse_form(args.form)
     report = decide_hypothesis(form)
-    fmt = args.format or "text"
+    fmt = _format(args, "text", "json")
     if fmt == "json":
-        out.line(json.dumps({
-            "form": format_form(form),
-            "verdict": report.verdict,
-            "witnesses": [
-                {"j": w.parity, "h": format_form(w.root),
-                 "g": format_form(w.remainder),
-                 "delta": None if w.remainder_exponent == float("-inf")
-                 else str(w.remainder_exponent)}
-                for w in report.witnesses
-            ],
-            "warnings": list(report.warnings),
-        }))
+        columns = ("form", "verdict", "witnesses", "warnings")
+        values = (format_form(form), report.verdict, [
+            {"j": w.parity, "h": format_form(w.root),
+             "g": format_form(w.remainder),
+             "delta": None if w.remainder_exponent == float("-inf")
+             else str(w.remainder_exponent)}
+            for w in report.witnesses
+        ], list(report.warnings))
     else:
-        out.line(f"form: {format_form(form)}")
-        out.line(f"verdict: {report.verdict}")
-        for w in report.witnesses:
-            out.line(f"j={w.parity}: h = {format_form(w.root)}, g = {format_form(w.remainder)}")
-        for warning in report.warnings:
-            out.line(f"warning: {warning}")
+        columns = ["form", "verdict", *(f"j={w.parity}" for w in report.witnesses),
+                   *("warning" for _ in report.warnings)]
+        values = [format_form(form), report.verdict,
+                  *(f"h = {format_form(w.root)}, g = {format_form(w.remainder)}"
+                    for w in report.witnesses),
+                  *report.warnings]
+    out.write(_record(fmt, columns, values))
     return 0
 
 
@@ -405,39 +360,32 @@ def _run_expand(args, out: _Output) -> int:
         f"lead = {approx.lead_coefficient}, error_base = {approx.error_base}",
         file=sys.stderr,
     )
-    rows = error_table(approx, _parse_n_range(args.n_range))
-    if (args.format or "csv") == "json":
-        out.line(json.dumps({
+    fmt = _format(args, "csv", "json")
+    rows = []
+    for n, err, decay in error_table(approx, _parse_n_range(args.n_range)):
+        errors = [float(err.lo), float(err.hi)]
+        decays = [None, None] if decay is None else [float(decay.lo), float(decay.hi)]
+        if fmt == "csv":
+            errors = [f"{e:.6e}" for e in errors]
+            decays = [None if d is None else f"{d:.4f}" for d in decays]
+        rows.append((n, *errors, *decays))
+    out.write(harness.emit_table(
+        ("n", "error_low", "error_high", "decay_low", "decay_high"), rows, fmt, indent=2,
+        wrap=lambda objects: {
             "f1": format_form(approx.series_form),
             "k": approx.depth,
             "lead_coefficient": str(approx.lead_coefficient),
             "error_base": None if approx.error_base is None else str(approx.error_base),
-            "rows": [
-                {"n": n, "error_low": float(err.lo), "error_high": float(err.hi),
-                 "decay_low": None if decay is None else float(decay.lo),
-                 "decay_high": None if decay is None else float(decay.hi)}
-                for n, err, decay in rows
-            ],
-        }, indent=2))
-        return 0
-    out.line("n,error_low,error_high,decay_low,decay_high")
-    for n, err, decay in rows:
-        cells = [str(n), f"{float(err.lo):.6e}", f"{float(err.hi):.6e}"]
-        if decay is None:
-            cells += ["", ""]
-        else:
-            cells += [f"{float(decay.lo):.4f}", f"{float(decay.hi):.4f}"]
-        out.line(",".join(cells))
+            "rows": objects,
+        },
+    ))
     return 0
 
 
 def _run_family(args, out: _Output) -> int:
     if (args.preset is None) == (args.form is None):
         raise ValueError("family needs exactly one of --preset or --form")
-    fmt = args.format or "csv"
-    if fmt == "text":
-        fmt = "csv"
-    kwargs = dict(word_cap=args.word_cap, format=fmt, jobs=args.jobs)
+    kwargs = dict(word_cap=args.word_cap, jobs=args.jobs)
     if args.preset:
         n_range = _parse_n_range(args.n) if args.n else None
         config = harness.preset_config(
@@ -454,7 +402,7 @@ def _run_family(args, out: _Output) -> int:
             parse_form(args.form), n_range.start, n_range[-1], **kwargs
         )
     records = harness.run_family(config)
-    out.write(harness.emit(records, config.format).decode("utf-8"))
+    out.write(harness.emit(records, _format(args, "csv", "json")).decode("utf-8"))
     if args.summary:
         for n, rmin in harness.suffix_min_periods(records):
             print(f"# suffix-min r from n={n}: {rmin}", file=sys.stderr)
@@ -468,26 +416,23 @@ def _run_family(args, out: _Output) -> int:
 
 def _run_identities(args, out: _Output) -> int:
     report = harness.run_identity_checks(n_max=args.n_max)
-    fmt = args.format or "text"
+    fmt = _format(args, "text", "json")
     if fmt == "json":
-        out.line(json.dumps({
-            "checks": report.checks,
-            "failures": list(report.failures),
-            "ok": report.ok,
-        }))
+        out.write(_record(fmt, ("checks", "failures", "ok"),
+                          (report.checks, list(report.failures), report.ok)))
     else:
-        out.line(f"identity checks: {report.checks}")
-        out.line(f"failures: {len(report.failures)}")
-        for failure in report.failures:
-            out.line(f"  {failure}")
+        out.write(_record(fmt, ("identity checks", "failures"),
+                          (report.checks, len(report.failures))))
+        out.write("".join(f"  {failure}\n" for failure in report.failures))
     return 0 if report.ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    digit_budget = getattr(args, "digit_budget", DEFAULT_DIGIT_BUDGET)
-    sys.set_int_max_str_digits(max(2 * digit_budget + 100, 20000))
+    # Large output integers are bounded by the digit budget and the scans'
+    # caps where those apply, never by the interpreter's str() limit.
+    sys.set_int_max_str_digits(0)
     out = _Output(getattr(args, "out", None))
     try:
         if args.command == "cf":

@@ -1,4 +1,4 @@
-"""Family experiments and deterministic record emission.
+"""Family experiments and the one byte-stable emission layer.
 
 ``run_family`` expands sqrt(f(n)) over a range of n and collects one
 record per n: the integer f(n), squareness, the period length r, the
@@ -6,11 +6,16 @@ palindrome check, the sign of the fundamental Pell value, and the
 largest partial quotient of the period, which is the closing quotient
 2*a0.  Output is byte-identical across runs and worker counts; per-n
 work may fan out to processes since every value involved is exact.
+
+``emit_table`` turns columns and rows of raw values into CSV, JSON or
+``label: value`` text; every CLI subcommand prints through it, and
+``emit`` is its entry point for family records.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -44,7 +49,8 @@ PRESET_RANGES: dict[str, tuple[int, int]] = {
     "v2w2": (1, 8),
 }
 
-CSV_HEADER = "n,D,is_square,r,palindrome_ok,pell_sign,max_pq_prefix,notes"
+FAMILY_COLUMNS = ("n", "D", "is_square", "r", "palindrome_ok", "pell_sign",
+                  "max_pq_prefix", "notes")
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,6 @@ class ExperimentConfig:
     n_start: int
     n_end: int
     word_cap: int = DEFAULT_WORD_CAP
-    format: str = "csv"
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -61,8 +66,6 @@ class ExperimentConfig:
             raise ValueError("empty n range")
         if self.word_cap < 1 or self.jobs < 1:
             raise ValueError("caps and worker counts must be positive")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
 
     @property
     def n_range(self) -> range:
@@ -213,63 +216,65 @@ def run_identity_checks(
 
 
 # ---------------------------------------------------------------------------
-# Emission: byte-stable CSV and JSON.
+# Emission: one byte-stable layer for family records and every CLI command.
 # ---------------------------------------------------------------------------
 
 
-def _csv_cell(value) -> str:
+def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
     return str(value)
 
 
-def emit_csv(records: list[FamilyRecord]) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        notes = f'"{rec.notes}"' if rec.notes else ""
-        lines.append(
-            ",".join(
-                (
-                    str(rec.n),
-                    _csv_cell(rec.D),
-                    _csv_cell(rec.is_square),
-                    _csv_cell(rec.r),
-                    _csv_cell(rec.palindrome_ok),
-                    _csv_cell(rec.pell_sign),
-                    _csv_cell(rec.max_pq_prefix),
-                    notes,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+def emit_table(
+    columns: Sequence[str],
+    rows: Iterable[Sequence],
+    format: str,
+    *,
+    wrap: Callable[[list[dict]], object] | None = None,
+    indent: int | None = None,
+) -> str:
+    """Serialize rows of raw values under ``columns``, byte-stably.
 
-
-def emit_json(records: list[FamilyRecord]) -> str:
-    payload = [
-        {
-            "n": rec.n,
-            "D": rec.D,
-            "is_square": rec.is_square,
-            "r": rec.r,
-            "palindrome_ok": rec.palindrome_ok,
-            "pell_sign": rec.pell_sign,
-            "max_pq_prefix": rec.max_pq_prefix,
-            "notes": rec.notes,
-        }
-        for rec in records
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    ``csv`` is a header line and one line per row.  ``text`` is one
+    ``label: value`` line per cell, for one-record commands.  Their cells
+    follow one rule: None is empty, booleans are ``true``/``false``,
+    floats get six decimals, anything else is ``str``; a cell that needs
+    another rendering is passed as a string.  ``json`` is one object per
+    row, as a list or as whatever ``wrap`` builds from that list, on one
+    line unless ``indent`` is given.  Every line ends in ``\n``.
+    """
+    if format == "json":
+        objects = [dict(zip(columns, row)) for row in rows]
+        payload = objects if wrap is None else wrap(objects)
+        return json.dumps(payload, indent=indent) + "\n"
+    if format == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(map(_cell, row)) for row in rows]
+    elif format == "text":
+        lines = [f"{label}: {_cell(value)}"
+                 for row in rows for label, value in zip(columns, row)]
+    else:
+        raise ValueError(f"unknown format {format!r}")
+    return "".join(line + "\n" for line in lines)
 
 
 def emit(records: list[FamilyRecord], format: str) -> bytes:
-    """Serialize records; output bytes are identical across platforms."""
-    if format == "csv":
-        return emit_csv(records).encode("utf-8")
-    if format == "json":
-        return emit_json(records).encode("utf-8")
-    raise ValueError(f"unknown format {format!r}")
+    """Serialize family records; the bytes are identical across platforms.
+
+    CSV double-quotes a note when there is one; JSON keeps the bare note.
+    """
+    rows = [
+        (rec.n, rec.D, rec.is_square, rec.r, rec.palindrome_ok, rec.pell_sign,
+         rec.max_pq_prefix,
+         f'"{rec.notes}"' if format == "csv" and rec.notes else rec.notes)
+        for rec in records
+    ]
+    return emit_table(FAMILY_COLUMNS, rows, format, indent=2).encode("utf-8")
 
 
 def preset_config(name: str, n_start: int | None = None, n_end: int | None = None,

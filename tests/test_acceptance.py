@@ -30,13 +30,14 @@ from surdlab.forms import add, mul, parse_form
 from surdlab.growth import (
     PellQuery,
     bounded_pell_solutions,
-    brute_force_pell,
     denominator_growth,
     min_solution_growth,
 )
 from surdlab.harness import ExperimentConfig, FamilyRecord, run_family, suffix_min_periods
 from surdlab.intervals import sqrt_interval
 from surdlab.surd import cf_sqrt, convergents, is_perfect_square, isqrt
+
+from oracles import brute_force_pell
 
 TITLE = parse_form("2*4^n + 1")
 

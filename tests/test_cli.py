@@ -551,3 +551,12 @@ def test_golden_matrix(capsys, argv, code, out_sha, err_sha):
     got_code, out, err = run(capsys, *shlex.split(argv))
     assert (got_code, _digest(out), _digest(err)) == (code, out_sha, err_sha), (out, err)
 
+
+def test_output_integers_have_no_str_digit_limit(capsys):
+    # D = 4^34000 + 1 has 20,471 digits; its least Y is 1, well inside a
+    # 1-digit budget, so the row must print whatever the budget.
+    code, out, _ = run(capsys, "pell", "scan", "--form", "4^n + 1", "--C", "2",
+                       "--n", "34000..34000", "--digit-budget", "1")
+    assert code == 0
+    row = out.splitlines()[1]
+    assert row.startswith("34000,1") and row.endswith(",1,-1,0.000000")

@@ -13,13 +13,14 @@ from surdlab.forms import normalize, parse_form
 from surdlab.growth import (
     PellQuery,
     bounded_pell_solutions,
-    brute_force_pell,
     denominator_growth,
     least_squares_slope,
     min_solution_growth,
     partial_quotient_profile,
 )
 from surdlab.surd import SquareInputError, is_perfect_square
+
+from oracles import brute_force_pell
 
 F = Fraction
 TITLE = parse_form("2*4^n + 1")

@@ -8,12 +8,10 @@ import pytest
 
 from surdlab.forms import parse_form
 from surdlab.harness import (
-    CSV_HEADER,
     ExperimentConfig,
     FamilyRecord,
     emit,
-    emit_csv,
-    emit_json,
+    emit_table,
     preset_config,
     run_family,
     run_identity_checks,
@@ -95,6 +93,9 @@ def test_suffix_min_periods_nondecreasing():
     assert pairs[0][1] == min(rec.r for rec in records if rec.r is not None)
 
 
+CSV_HEADER = "n,D,is_square,r,palindrome_ok,pell_sign,max_pq_prefix,notes"
+
+
 def test_emit_csv_exact_bytes():
     records = run_family(_config(TITLE, 1, 3))
     expected = (
@@ -103,22 +104,34 @@ def test_emit_csv_exact_bytes():
         "2,33,false,4,true,1,10,\n"
         "3,129,false,10,true,1,22,\n"
     )
-    assert emit_csv(records) == expected
     assert emit(records, "csv") == expected.encode("utf-8")
 
 
 def test_emit_csv_empty_is_header_only():
-    assert emit_csv([]) == CSV_HEADER + "\n"
+    assert emit([], "csv") == (CSV_HEADER + "\n").encode("utf-8")
 
 
 def test_emit_json_mirrors_fields():
     records = run_family(_config(TITLE, 1, 2))
-    payload = json.loads(emit_json(records))
+    payload = json.loads(emit(records, "json"))
     assert payload[0] == {
         "n": 1, "D": 9, "is_square": True, "r": None, "palindrome_ok": None,
         "pell_sign": None, "max_pq_prefix": None, "notes": "square",
     }
     assert payload[1]["r"] == 4 and payload[1]["pell_sign"] == 1
+
+
+def test_emit_table_cell_rule_and_json_shapes():
+    columns, rows = ("a", "b", "c", "d", "e"), [(None, True, 0.5, "x", 7)]
+    assert emit_table(columns, rows, "csv") == "a,b,c,d,e\n,true,0.500000,x,7\n"
+    assert emit_table(columns, rows, "text") == (
+        "a: \nb: true\nc: 0.500000\nd: x\ne: 7\n"
+    )
+    objects = [{"a": None, "b": True, "c": 0.5, "d": "x", "e": 7}]
+    assert json.loads(emit_table(columns, rows, "json")) == objects
+    wrapped = emit_table(columns, rows, "json", wrap=lambda rows: {"rows": rows}, indent=2)
+    assert wrapped.startswith('{\n  "rows": [')
+    assert json.loads(wrapped) == {"rows": objects}
 
 
 def test_emit_rejects_unknown_format():
@@ -129,8 +142,6 @@ def test_emit_rejects_unknown_format():
 def test_config_validation():
     with pytest.raises(ValueError, match="empty n range"):
         ExperimentConfig(TITLE, 5, 4)
-    with pytest.raises(ValueError, match="unknown format"):
-        ExperimentConfig(TITLE, 1, 2, format="yaml")
     with pytest.raises(ValueError):
         ExperimentConfig(TITLE, 1, 2, jobs=0)
 

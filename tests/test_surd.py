@@ -316,7 +316,7 @@ def test_fundamental_pell_minimality_sweep():
 
 def test_fundamental_pell_respects_period_cap():
     with pytest.raises(ResourceLimitError):
-        fundamental_pell(1021, period_cap=3)  # r(1021) = 21
+        fundamental_pell(1021, period_cap=3)  # r(1021) = 49
 
 
 def linear_pell(D: int) -> tuple[int, int, int, int]:
