@@ -246,7 +246,7 @@ def emit_table(
     floats get six decimals, anything else is ``str``; a cell that needs
     another rendering is passed as a string.  ``json`` is one object per
     row, as a list or as whatever ``wrap`` builds from that list, on one
-    line unless ``indent`` is given.  Every line ends in ``\n``.
+    line unless ``indent`` is given.  Every line ends in a newline.
     """
     if format == "json":
         objects = [dict(zip(columns, row)) for row in rows]
