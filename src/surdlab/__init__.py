@@ -34,12 +34,10 @@ from .surd import (
     PellSolution,
     ResourceLimitError,
     SquareInputError,
-    SurdState,
     cf_sqrt,
     cf_stream,
     convergents,
     fundamental_pell,
-    is_palindromic_period,
     is_perfect_square,
     isqrt,
     pell_value_stream,

@@ -2,10 +2,12 @@
 
 ``run_family`` expands sqrt(f(n)) over a range of n and collects one
 record per n: the integer f(n), squareness, the period length r, the
-palindrome check, the sign of the fundamental Pell value, and the
-largest partial quotient of the period, which is the closing quotient
-2*a0.  Output is byte-identical across runs and worker counts; per-n
-work may fan out to processes since every value involved is exact.
+palindrome flag (true up to the word cap, null past it), the sign of
+the fundamental Pell value, and the largest partial quotient of the
+period, which is the closing quotient 2*a0.  A row walks only to the
+palindrome midpoint and keeps no word.  Output is byte-identical across
+runs and worker counts; per-n work may fan out to processes since every
+value involved is exact.
 
 ``emit_table`` turns columns and rows of raw values into CSV, JSON or
 ``label: value`` text; every CLI subcommand prints through it, and
@@ -32,8 +34,9 @@ from .forms import (
 from .surd import (
     DEFAULT_WORD_CAP,
     cf_sqrt,
-    is_palindromic_period,
+    isqrt,
     is_perfect_square,
+    period_length,
 )
 
 PRESETS: dict[str, str] = {
@@ -95,15 +98,17 @@ def _family_row(args: tuple[PowerSumForm, int, int]) -> FamilyRecord:
     if is_perfect_square(D):
         return FamilyRecord(n, D, True, None, None, None, None, "square")
 
-    exp = cf_sqrt(D, word_cap)
-    capped = exp.period is None
+    r = period_length(D)
+    capped = r > word_cap
     return FamilyRecord(
-        n, D, False, exp.r,
-        None if capped else is_palindromic_period(exp.period),
-        -1 if exp.r % 2 else 1,
+        n, D, False, r,
+        # The walk's stop rule is the palindrome midpoint, so the word is a
+        # palindrome by construction; past the cap it is not reported.
+        None if capped else True,
+        -1 if r % 2 else 1,
         # The closing quotient 2*a0 is the largest of the period: for
         # 0 < k < r, d_k >= 2 and m_k <= a0 give a_k <= a0.
-        2 * exp.a0,
+        2 * isqrt(D),
         "word-cap" if capped else "",
     )
 

@@ -1,24 +1,27 @@
 """Streaming continued fractions of sqrt(D) with exact integer arithmetic.
 
-The classical surd recurrence
-    m' = d*a - m,   d' = (D - m'*m')/d,   a' = (a0 + m')//d'
-runs with O(1) retained state; the division is always exact.  For a
-non-square D the expansion is [a0; {a1, ..., a_{r-1}, 2*a0}] and the
-period ends at the first step with d == 1.
+The surd recurrence
+    m' = d*a - m,   d' = d_prev + a*(m - m'),   a' = (a0 + m')//d'
+runs with O(1) retained state, starting from m = 0, d = 1, a = a0 and
+d_prev = D.  Its d' is the classical (D - m'*m')/d in the division-free
+form used by SQUFOF (Gower & Wagstaff, "Square form factorization",
+Math. Comp. 2008): no square, no division, and past the first step no
+read of D, so m and d stay below 2*sqrt(D).  For a non-square D the
+expansion is [a0; {a1, ..., a_{r-1}, 2*a0}], and a1 ... a_{r-1} is a
+palindrome.
 
-No other module runs the recurrence.  Here ``_period_walk`` goes once
-around the period (``cf_sqrt``, ``period_length``), ``_half_period`` stops
-at the palindrome midpoint of the period (``fundamental_pell``, which
-builds its big integers once from that half word),
-``pell_value_stream`` builds the convergents with their Pell values, and
-``cf_stream`` is the public per-step view of the state.
+No other module runs the recurrence.  Here ``_midpoint_walk`` stops at
+the palindrome midpoint of the period, which fixes r and the whole word
+(``fundamental_pell``, ``cf_sqrt``, ``period_length`` and, through it,
+family rows), ``pell_value_stream`` builds the convergents with their
+Pell values, and ``cf_stream`` is the public per-step view of the state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 DEFAULT_WORD_CAP = 10**6
@@ -65,17 +68,6 @@ def _check_surd(D: int) -> int:
 
 
 @dataclass(frozen=True)
-class SurdState:
-    """Surd recurrence state at step k: sqrt(D) ~ (m + sqrt(D))/d."""
-
-    D: int
-    m: int
-    d: int
-    a: int
-    k: int
-
-
-@dataclass(frozen=True)
 class CFExpansion:
     """Expansion of sqrt(D): a0 plus the periodic word of length r.
 
@@ -103,55 +95,79 @@ class PellSolution:
     value: int
 
 
-def cf_stream(D: int) -> Iterator[tuple[int, SurdState]]:
-    """Yield partial quotients of sqrt(D) (starting with a0) forever."""
-    a0 = _check_surd(D)
-    m, d, a, k = 0, 1, a0, 0
-    while True:
-        yield a, SurdState(D, m, d, a, k)
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        k += 1
+def cf_stream(D: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield ``(a_k, m_k, d_k, k)`` for k = 0, 1, 2, ... forever.
 
-
-def _period_walk(D: int, word_cap: int) -> tuple[int, int, tuple[int, ...] | None]:
-    """Run the recurrence once around the period of sqrt(D).
-
-    Returns ``(a0, r, word)``: the word a_1..a_r is kept while
-    r <= ``word_cap`` and is None past it.  This is the only loop that
-    runs to the first step with d == 1.
+    At step k, sqrt(D) = [a0; a1, ..., a_{k-1}, (m_k + sqrt(D))/d_k].
     """
     a0 = _check_surd(D)
-    m, d, a = 0, 1, a0
-    word: list[int] = []
-    r = 0
-    while True:
-        m = d * a - m
-        d = (D - m * m) // d
+    m, d, d_prev, a = 0, 1, D, a0
+    for k in count():
+        yield a, m, d, k
+        m, m_prev = d * a - m, m
+        d, d_prev = d_prev + a * (m_prev - m), d
         a = (a0 + m) // d
-        r += 1
-        if r <= word_cap:
-            word.append(a)
-        if d == 1:
-            return a0, r, tuple(word) if r <= word_cap else None
+
+
+def _midpoint_walk(D: int, keep: int = 0, bounded: bool = False
+                   ) -> tuple[int, int | None, list[int] | None]:
+    """Walk sqrt(D) to the palindrome midpoint of its period.
+
+    Returns ``(a0, r, half)`` with ``half = [a_1, ..., a_h]``, h = r // 2,
+    which fixes the whole word: a_k == a_{r-k} for 0 < k < r.  The
+    midpoint is the first k >= 1 with m_{k+1} == m_k (r = 2k) or the first
+    k >= 0 with d_{k+1} == d_k (r = 2k + 1; k = 0 is r = 1); m_1 = a0 > m_0
+    makes k = 0 safe in the first test.  ``half`` is kept iff r <= ``keep``
+    and is None otherwise, so it never holds more than keep // 2
+    quotients.  A ``bounded`` walk stops once r > ``keep`` is certain,
+    after at most about keep / 2 steps, and returns r = None.
+    """
+    a0 = _check_surd(D)
+    m, d, d_prev, a = 0, 1, D, a0
+    half: list[int] | None = []
+    h_max = keep // 2
+    for k in count():
+        m_next = d * a - m
+        if m_next == m:
+            r = 2 * k
+            break
+        d_next = d_prev + a * (m - m_next)
+        if d_next == d:
+            r = 2 * k + 1
+            break
+        m, d, d_prev = m_next, d_next, d
+        a = (a0 + m) // d
+        if half is not None:
+            # r >= 2k + 2 from here on.
+            if k < h_max:
+                half.append(a)
+            elif bounded:
+                return a0, None, None
+            else:
+                half = None
+    return a0, r, half if r <= keep else None
 
 
 def cf_sqrt(D: int, word_cap: int = DEFAULT_WORD_CAP) -> CFExpansion:
-    """Expand sqrt(D) and detect the period (first step with d == 1).
+    """Expand sqrt(D): a0, the period word and its length r.
 
+    The word is mirrored from the half walked to the palindrome midpoint.
     If the period exceeds ``word_cap`` the word is elided but r stays
     exact; that is not an error.
     """
     if word_cap < 1:
         raise ValueError("word_cap must be positive")
-    a0, r, word = _period_walk(D, word_cap)
-    return CFExpansion(D, a0, word, r)
+    a0, r, half = _midpoint_walk(D, word_cap)
+    if half is None:
+        return CFExpansion(D, a0, None, r)
+    # Odd r repeats the middle quotient a_h = a_{h+1}; even r does not.
+    mirror = half[::-1] if r % 2 else half[-2::-1]
+    return CFExpansion(D, a0, (*half, *mirror, 2 * a0), r)
 
 
 def period_length(D: int) -> int:
     """Length r of the period of sqrt(D), with O(1) memory."""
-    return _period_walk(D, 0)[1]
+    return _midpoint_walk(D)[1]
 
 
 def period_bound_ratio(D: int, r: int | None = None) -> float:
@@ -159,12 +175,6 @@ def period_bound_ratio(D: int, r: int | None = None) -> float:
     if r is None:
         r = period_length(D)
     return r / (math.sqrt(D) * math.log(D))
-
-
-def is_palindromic_period(period: tuple[int, ...]) -> bool:
-    """True when the word a_1..a_{r-1} before the closing 2*a0 reads both ways."""
-    body = period[:-1]
-    return body == body[::-1]
 
 
 def convergents(D: int, count: int) -> list[Convergent]:
@@ -184,53 +194,16 @@ def pell_value_stream(D: int) -> Iterator[tuple[int, int, int, int, int]]:
     directly.
     """
     a0 = _check_surd(D)
-    m, d, a = 0, 1, a0
+    m, d, d_prev, a = 0, 1, D, a0
     pm1, qm1 = 1, 0
     p, q = a0, 1
-    j = 0
-    while True:
-        m = d * a - m
-        d = (D - m * m) // d
+    for j in count():
+        m, m_prev = d * a - m, m
+        d, d_prev = d_prev + a * (m_prev - m), d
         a = (a0 + m) // d
         yield j, p, q, (d if j % 2 else -d), a
         p, pm1 = a * p + pm1, p
         q, qm1 = a * q + qm1, q
-        j += 1
-
-
-def _half_period(D: int, period_cap: int) -> tuple[int, int, list[int]]:
-    """Walk sqrt(D) to the palindrome midpoint of its period.
-
-    Returns ``(a0, r, [a_1, ..., a_h])`` with h = r // 2, which fixes the
-    whole word: a_k == a_{r-k} for 0 < k < r.  The midpoint is the first
-    k >= 1 with m_{k+1} == m_k (r = 2k) or the first k >= 0 with
-    d_{k+1} == d_k (r = 2k + 1; k = 0 is r = 1).  Raises
-    ``ResourceLimitError`` iff r - 1 > ``period_cap``, after at most
-    about ``period_cap / 2`` steps.
-    """
-    a0 = _check_surd(D)
-    m, d, a = 0, 1, a0
-    half: list[int] = []
-    k = 0
-    while True:
-        m_next = d * a - m
-        d_next = (D - m_next * m_next) // d
-        if k and m_next == m:
-            r = 2 * k
-            break
-        if d_next == d:
-            r = 2 * k + 1
-            break
-        if 2 * k + 1 > period_cap:
-            r = 2 * k + 2  # a lower bound, and already past the cap
-            break
-        m, d = m_next, d_next
-        a = (a0 + m) // d
-        half.append(a)
-        k += 1
-    if r - 1 > period_cap:
-        raise ResourceLimitError(f"period of sqrt({D}) exceeds cap {period_cap}")
-    return a0, r, half
 
 
 def _word_matrix(word: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -263,9 +236,12 @@ def fundamental_pell(D: int, period_cap: int = DEFAULT_PERIOD_CAP) -> PellSoluti
     r (h' = h).  The value is (-1)**r.
 
     Refuses (``ResourceLimitError``) when r - 1 > ``period_cap``, since
-    the solution then has on the order of ``period_cap`` digits.
+    the solution then has on the order of ``period_cap`` digits; the walk
+    gives up after at most about ``period_cap / 2`` steps.
     """
-    a0, r, half = _half_period(D, period_cap)
+    a0, r, half = _midpoint_walk(D, period_cap + 1, bounded=True)
+    if half is None:
+        raise ResourceLimitError(f"period of sqrt({D}) exceeds cap {period_cap}")
     h = len(half)
     if r % 2:
         x, y, z, w = _word_matrix(half, 0, h)

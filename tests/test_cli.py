@@ -366,13 +366,47 @@ def test_family_title_json_golden_bytes(capsys):
     assert out == FAMILY_TITLE_JSON_GOLDEN
 
 
+# One subcommand that offers each count flag.
+COUNT_FLAG_ARGV = {
+    "--digit-budget": ["pell", "scan", "--D", "33", "--C", "2"],
+    "--word-cap": ["cf", "sqrt", "33"],
+    "--jobs": ["family", "--preset", "title", "--n", "1..2"],
+}
+
+
 @pytest.mark.parametrize("flag", ["--digit-budget", "--word-cap", "--jobs"])
 @pytest.mark.parametrize("value", ["0", "-5", "x"])
 def test_count_flags_reject_non_positive_values(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
-        main(["pell", "scan", "--D", "33", "--C", "2", flag, value])
+        main(COUNT_FLAG_ARGV[flag] + [flag, value])
     assert exc.value.code == 2
     assert "not a positive integer" in capsys.readouterr().err
+
+
+# Each flag is offered only by the subcommands that read it: --jobs by
+# family, --word-cap by cf sqrt and family, --strict by cf sqrt, pell scan
+# and family.  Everywhere else argparse rejects it.
+@pytest.mark.parametrize("argv, flag", [
+    (["identities", "--n-max", "3"], "--jobs 7"),
+    (["identities", "--n-max", "3"], "--word-cap 1"),
+    (["identities", "--n-max", "3"], "--strict"),
+    (["expand", "sqrt", "--form", "4^n + 1", "--j", "0", "--n-range", "1..2"], "--jobs 9"),
+    (["expand", "sqrt", "--form", "4^n + 1", "--j", "0", "--n-range", "1..2"], "--word-cap 1"),
+    (["cf", "sqrt", "33"], "--jobs 2"),
+    (["cf", "period", "33"], "--word-cap 1"),
+    (["cf", "period", "33"], "--strict"),
+    (["cf", "pell", "33"], "--strict"),
+    (["pell", "scan", "--D", "33", "--C", "2"], "--jobs 2"),
+    (["pell", "scan", "--D", "33", "--C", "2"], "--word-cap 1"),
+    (["growth", "denom", "--form", "3^n + 1", "--b", "2", "--n", "1..5"], "--strict"),
+    (["profile", "pq", "--form", "2*4^n + 1", "--n", "2..3", "--c", "8"], "--jobs 2"),
+    (["hypothesis", "check", "--form", "4^n + 1"], "--word-cap 1"),
+])
+def test_flags_only_where_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

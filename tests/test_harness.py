@@ -19,6 +19,8 @@ from surdlab.harness import (
 )
 from surdlab.surd import cf_sqrt
 
+from oracles import plain_period_word
+
 TITLE = parse_form("2*4^n + 1")
 
 
@@ -61,6 +63,19 @@ def test_family_flags_word_cap():
     assert rec.pell_sign == 1
     assert rec.max_pq_prefix == 22
     assert rec == FamilyRecord(3, 129, False, 10, None, 1, 22, "word-cap")
+
+
+def test_family_rows_match_full_walk_at_word_cap_boundary():
+    # Rows keep no word: r, the sign and 2*a0 come from the midpoint walk,
+    # and palindrome_ok is true exactly up to the word cap.
+    for n in range(2, 13):
+        word = plain_period_word(2 * 4**n + 1)
+        r = len(word)
+        for cap in (r - 1, r):
+            (rec,) = run_family(_config(TITLE, n, n, word_cap=cap))
+            kept = cap >= r
+            assert rec == FamilyRecord(n, 2 * 4**n + 1, False, r, True if kept else None,
+                                       (-1) ** r, word[-1], "" if kept else "word-cap")
 
 
 def test_family_non_integer_values():

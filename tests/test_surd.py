@@ -16,8 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surdlab.forms import eval_int
+from surdlab.harness import _default_h_grid, _default_vw_grid
 from surdlab.intervals import sqrt_interval
 from surdlab.surd import (
+    DEFAULT_WORD_CAP,
     CFExpansion,
     Convergent,
     PellSolution,
@@ -27,13 +30,14 @@ from surdlab.surd import (
     cf_stream,
     convergents,
     fundamental_pell,
-    is_palindromic_period,
     is_perfect_square,
     isqrt,
     pell_value_stream,
     period_bound_ratio,
     period_length,
 )
+
+from oracles import plain_period_word
 
 
 def numeric_cf_oracle(D: int, count: int) -> list[int]:
@@ -111,21 +115,22 @@ def test_cf_prefix_matches_numeric_oracle(D):
 
 
 def test_cf_stream_first_quotients():
-    assert [a for a, _ in islice(cf_stream(2), 4)] == [1, 2, 2, 2]
-    assert [a for a, _ in islice(cf_stream(33), 9)] == [5, 1, 2, 1, 10, 1, 2, 1, 10]
-    assert [a for a, _ in islice(cf_stream(17), 3)] == [4, 8, 8]
+    assert [a for a, *_ in islice(cf_stream(2), 4)] == [1, 2, 2, 2]
+    assert [a for a, *_ in islice(cf_stream(33), 9)] == [5, 1, 2, 1, 10, 1, 2, 1, 10]
+    assert [a for a, *_ in islice(cf_stream(17), 3)] == [4, 8, 8]
 
 
 def test_cf_stream_state_invariants():
     for D in (13, 33, 129, 1021):
         root = math.isqrt(D)
-        for a, state in islice(cf_stream(D), 40):
-            assert (D - state.m * state.m) % state.d == 0
-            if state.k >= 1:
-                assert 0 < state.m <= root
-                assert 0 < state.d < 2 * root + 2
-                assert state.m * state.m < D
-                assert state.d * state.d < 4 * D
+        for a, m, d, k in islice(cf_stream(D), 40):
+            assert (D - m * m) % d == 0
+            assert a == (root + m) // d
+            if k >= 1:
+                assert 0 < m <= root
+                assert 0 < d < 2 * root + 2
+                assert m * m < D
+                assert d * d < 4 * D
 
 
 def test_square_inputs_rejected():
@@ -167,25 +172,6 @@ def test_period_bound_ratio_stays_bounded():
     assert max(v for D, v in ratios.items() if D >= 50) < 1
 
 
-def plain_period_word(D: int) -> list[int]:
-    """Period word a_1..a_r of sqrt(D), independent of surdlab.
-
-    Uses the division-free form of the recurrence,
-    Q_{k+1} = Q_{k-1} + a_k*(P_k - P_{k+1}) with Q_{-1} = D.
-    """
-    a0 = math.isqrt(D)
-    P, Q, Q_prev, a = 0, 1, D, a0
-    word = []
-    while True:
-        P_next = a * Q - P
-        Q, Q_prev = Q_prev + a * (P - P_next), Q
-        P = P_next
-        a = (a0 + P) // Q
-        word.append(a)
-        if Q == 1:
-            return word
-
-
 def test_period_length_agrees_with_word_up_to_1e5():
     for D in range(2, 100001):
         if is_perfect_square(D):
@@ -197,6 +183,44 @@ def test_period_length_agrees_with_word_up_to_1e5():
         assert exp.period == tuple(word)
         # The closing quotient is the largest, which family rows rely on.
         assert max(word) == 2 * exp.a0
+
+
+def assert_midpoint_walk_matches_oracle(D: int) -> int:
+    """``cf_sqrt`` at word caps around r, and ``period_length``, against
+    the full classical walk of ``plain_period_word``; returns r."""
+    a0 = math.isqrt(D)
+    word = tuple(plain_period_word(D))
+    r = len(word)
+    # The midpoint walk relies on this, and family rows report it unchecked.
+    assert word[:-1] == word[-2::-1] and word[-1] == 2 * a0
+    assert period_length(D) == r
+    for cap in {1, 2, r - 1, r, r + 1, DEFAULT_WORD_CAP} - {0}:
+        assert cf_sqrt(D, cap) == CFExpansion(D, a0, word if r <= cap else None, r)
+    return r
+
+
+def test_midpoint_walk_matches_full_walk_below_20000():
+    periods = set()
+    for D in range(2, 20000):
+        if not is_perfect_square(D):
+            periods.add(assert_midpoint_walk_matches_oracle(D))
+    assert set(range(1, 30)) <= periods
+
+
+def test_midpoint_walk_matches_full_walk_on_title_family():
+    for n in range(2, 20):  # r(2*4^19 + 1) = 404,762
+        assert_midpoint_walk_matches_oracle(2 * 4**n + 1)
+
+
+def test_midpoint_walk_matches_full_walk_on_multilimb_identities():
+    # Periods 1 and 2 on D of up to ~1,100 bits: h^2 + 1 and v^2 w^2 + 2w.
+    for n in range(1, 201):
+        for h in _default_h_grid():
+            hn = eval_int(h, n)
+            assert_midpoint_walk_matches_oracle(hn * hn + 1)
+        for v, w in _default_vw_grid():
+            vn, wn = eval_int(v, n), eval_int(w, n)
+            assert_midpoint_walk_matches_oracle(vn * vn * wn * wn + 2 * wn)
 
 
 def test_cf_sqrt_matches_sympy_on_sample_up_to_2000():
@@ -217,7 +241,7 @@ def test_palindrome_and_closing_quotient_up_to_2000():
             continue
         exp = cf_sqrt(D)
         assert exp.period[-1] == 2 * exp.a0
-        assert is_palindromic_period(exp.period)
+        assert exp.period[:-1] == exp.period[-2::-1]
 
 
 def test_convergents_frozen():
@@ -265,9 +289,9 @@ def test_pell_value_stream_next_quotient_and_d():
     # a_{j+1} and |value| = d_{j+1} agree with the per-step cf_stream view.
     for D in (2, 13, 33, 129, 1021):
         pairs = zip(islice(pell_value_stream(D), 40), islice(cf_stream(D), 1, 41))
-        for (_, _, _, value, a_next), (a, state) in pairs:
+        for (_, _, _, value, a_next), (a, _, d, _) in pairs:
             assert a_next == a
-            assert abs(value) == state.d
+            assert abs(value) == d
 
 
 def test_fundamental_pell_frozen():
