@@ -24,7 +24,6 @@ from .forms import (
     mul,
     normalize,
     parse_form,
-    relative_tail,
     scale,
 )
 from .intervals import Interval, certify_below, sqrt_interval
@@ -51,13 +50,10 @@ from .expansion import (
     HypothesisReport,
     HypothesisWitness,
     SqrtApprox,
-    algebraic_residual,
     decide_hypothesis,
-    error_interval,
     error_table,
     growth_exponent,
     sqrt_approximation,
-    sqrt_rational,
     trivial_criterion,
 )
 from .growth import (

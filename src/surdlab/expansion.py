@@ -49,6 +49,10 @@ HOLDS_TRIVIALLY = "holds-by-trivial-criterion"
 # Most terms a truncated binomial series may take before the input is
 # refused with ResourceLimitError: near-1 base ratios need ~log(b)/log(ratio).
 _DEPTH_CAP = 256
+# Most term products a series may take before the input is refused with
+# ResourceLimitError: with a tail of t terms the powers keep up to
+# ~depth**(t - 1) terms, all of them big fractions when the ratio is near 1.
+_PRODUCT_CAP = 4096
 
 
 def sqrt_rational(x: Fraction) -> Fraction | None:
@@ -67,13 +71,22 @@ def is_square_rational(x: Fraction) -> bool:
 
 
 def _floor_log_ratio(x: Fraction, base: Fraction) -> int:
-    """Largest t >= 0 with base**t <= x, by exact comparison."""
+    """Largest t >= 0 with base**t <= x, by exact comparison.
+
+    Galloping then bisecting over t takes O(log t) powers, so a base near 1
+    (t in the thousands) is measured at once and refused by the caller.
+    """
     if base <= 1 or x < 1:
         raise ValueError("requires base > 1 and x >= 1")
-    t, power = 0, Fraction(1)
-    while power * base <= x:
-        power *= base
-        t += 1
+    t, step = 0, 1
+    while base ** (t + step) <= x:
+        t += step
+        step *= 2
+    # base**t <= x < base**(t + step)
+    while step > 1:
+        step //= 2
+        if base ** (t + step) <= x:
+            t += step
     return t
 
 
@@ -91,18 +104,26 @@ def _binomial_sqrt_series(
     """Sum_{i<=limit} C(1/2, i) * tail**i, pruned below ``threshold``.
 
     Pruning mid-product is sound: tail bases are < 1, so a dropped term
-    can only ever produce bases at or below where it was dropped.
+    can only ever produce bases at or below where it was dropped.  The
+    sum is gathered by base and normalized once, not once per power.
     """
-    acc = normalize([(1, 1)])
-    power = acc
+    acc: dict[Fraction, Fraction] = {Fraction(1): Fraction(1)}
+    power = normalize([(1, 1)])
     coef = Fraction(1)
+    products = 0
     for i in range(1, limit + 1):
         coef *= (Fraction(1, 2) - (i - 1)) / i
+        products += len(power) * len(tail)
+        if products > _PRODUCT_CAP:
+            raise ResourceLimitError(
+                f"series needs over {_PRODUCT_CAP} term products (base ratios too close to 1)"
+            )
         power = _prune(mul(power, tail), threshold, keep_equal)
         if power.is_zero:
             break
-        acc = add(acc, scale(power, coef))
-    return _prune(acc, threshold, keep_equal)
+        for c, u in power.terms:
+            acc[u] = acc.get(u, 0) + coef * c
+    return _prune(normalize((c, u) for u, c in acc.items()), threshold, keep_equal)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ computable, so the experiments report exact integers plus measured
 slopes: minimal solutions of |X**2 - D*Y**2| < C along a family D = f(n),
 exact denominators of f(n)/b**n, and partial-quotient profiles of
 sqrt(f(n)).
+
+A minimal solution needs only half a period: the small-integer walk stops
+at the first small value or at the palindrome midpoint, and the answering
+convergent is built once.  The bounded scan and the profiles report every
+convergent in their box, so they still go step by step.
 """
 
 from __future__ import annotations
@@ -18,11 +23,19 @@ from .surd import (
     DEFAULT_DIGIT_BUDGET,
     PellSolution,
     _digit_budget_bits,
+    _least_convergent_below,
     is_perfect_square,
     isqrt,
     pell_value_stream,
 )
 from .expansion import HypothesisReport, decide_hypothesis
+
+
+def _check_box(C: int, y_limit: int | None) -> None:
+    if C < 1:
+        raise ValueError("C must be a positive integer")
+    if y_limit is not None and y_limit < 1:
+        raise ValueError("y_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -40,10 +53,7 @@ class PellQuery:
     digit_budget: int = DEFAULT_DIGIT_BUDGET
 
     def __post_init__(self) -> None:
-        if self.C < 1:
-            raise ValueError("C must be a positive integer")
-        if self.y_limit is not None and self.y_limit < 1:
-            raise ValueError("y_limit must be positive")
+        _check_box(self.C, self.y_limit)
 
     @property
     def complete(self) -> bool:
@@ -127,14 +137,23 @@ def min_solution_growth(
 ) -> MinSolutionGrowth:
     """Least Y with |X**2 - f(n)*Y**2| < C, for each n in the range.
 
+    Each row walks half a period at most and builds one convergent
+    (``surd._least_convergent_below``).  A row whose least Y is over
+    ``y_limit`` or the digit budget is skipped with the note "cap", and so
+    is every row for C = 1.  C or ``y_limit`` below 1 raises ValueError.
+
     Values of n where f(n) is a perfect square are skipped with a note
     (the square root is rational there, so there is nothing to measure).
     The least-squares slope of log(Y_min) over n is the empirical growth
     rate.  When the square-decomposition hypothesis fails for ``f`` the
     records are still reported; the attached report carries the flag.
     """
+    _check_box(C, y_limit)
     report = decide_hypothesis(f) if check_hypothesis else None
-    bits_cap = _digit_budget_bits(digit_budget)
+    # Y is within the y-limit and the digit budget iff Y <= y_max.
+    y_max = (1 << _digit_budget_bits(digit_budget)) - 1
+    if y_limit is not None:
+        y_max = min(y_max, y_limit)
     records: list[GrowthRecord] = []
     skipped: list[tuple[int, str]] = []
     for n in n_range:
@@ -149,18 +168,9 @@ def min_solution_growth(
         if is_perfect_square(D):
             skipped.append((n, "square"))
             continue
-        best: PellSolution | None = None
-        for _, p, q, value, _ in pell_value_stream(D):
-            if (y_limit is not None and q > y_limit) or q.bit_length() > bits_cap:
-                break
-            if abs(value) <= C - 1:
-                # The least Y overall: multiples of earlier convergents
-                # scale the value by g**2 >= 4, so the first convergent
-                # hit really is minimal.
-                if p * p - D * q * q != value:
-                    raise AssertionError("pell value identity violated")
-                best = PellSolution(p, q, value)
-                break
+        # The first convergent hit is the least Y overall: multiples of
+        # earlier convergents scale the value by g**2 >= 4.
+        best = _least_convergent_below(D, C, y_max)
         if best is None:
             skipped.append((n, "cap"))
             continue

@@ -39,3 +39,31 @@ def plain_period_word(D: int) -> list[int]:
         word.append(a)
         if Q == 1:
             return word
+
+
+def plain_min_solution(D: int, C: int, y_limit: int | None, bits_cap: int
+                       ) -> PellSolution | None:
+    """Least-Y convergent with |p**2 - D*q**2| < C, built step by step.
+
+    The plain search: every convergent p_j/q_j is built in turn, and the
+    loop gives up (None) at the first q_j over ``y_limit`` or over
+    ``bits_cap`` bits, before testing its value.  The value comes from the classical
+    step, p_j**2 - D*q_j**2 = (-1)**(j+1) * Q_{j+1}, and is checked
+    directly at the hit.
+    """
+    a0 = math.isqrt(D)
+    P, Q, a = 0, 1, a0
+    p, p_prev, q, q_prev = a0, 1, 1, 0
+    sign = -1
+    while True:
+        if (y_limit is not None and q > y_limit) or q.bit_length() > bits_cap:
+            return None
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        a = (a0 + P) // Q
+        if Q < C:
+            assert p * p - D * q * q == sign * Q
+            return PellSolution(p, q, sign * Q)
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        sign = -sign

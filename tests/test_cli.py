@@ -572,6 +572,10 @@ GOLDEN_MATRIX = [
     ('family --preset title --n 3..4 --word-cap 4 --strict', 3, "b988fcdc828a7ed2", "e3b0c44298fc1c14"),
     ("family --form 'totally^wrong' --n 1..2", 2, "e3b0c44298fc1c14", "54cf005d5d0bc5b3"),
     ("hypothesis check --form '10000^n + 9900^n'", 3, "e3b0c44298fc1c14", "b5654e01ced94d07"),
+    # C = 1 is a cap at once, with the bytes a step-by-step walk to the
+    # digit budget prints (~8 s); C < 1 is bad input, as for `pell scan --D`.
+    ("pell scan --form '2*4^n + 1' --C 1 --n 3..3", 0, "a35e94d47f2c458e", "0813df1585dcd896"),
+    ("pell scan --form '2*4^n + 1' --C 0 --n 3..3", 2, "e3b0c44298fc1c14", "b3ae932c29790d1d"),
 ]
 
 

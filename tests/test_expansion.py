@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from datetime import timedelta
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surdlab import expansion
@@ -171,6 +172,54 @@ def test_expansion_rejects_bad_inputs():
         sqrt_approximation(normalize([(1, F(9, 4))]), 0)
     with pytest.raises(ResourceLimitError):
         sqrt_approximation(parse_form("100^n + 99^n"), 0, depth_cap=16)
+
+
+def test_floor_log_ratio_matches_linear_search():
+    def linear(x, base):
+        t, power = 0, F(1)
+        while power * base <= x:
+            power, t = power * base, t + 1
+        return t
+
+    for base in (F(2), F(3, 2), F(101, 100)):
+        for x in (F(1), base, base**7, base**7 - F(1, 10**30), F(1000), F(10**6, 7)):
+            assert expansion._floor_log_ratio(x, base) == linear(x, base), (x, base)
+
+
+def test_series_of_a_wide_near_one_tail_is_refused():
+    # Two tail terms at ratios ~1.06 and ~1.11: ~150 powers of up to ~150
+    # big-fraction terms each.  Uncapped it runs for seconds and prints a
+    # 10 MB form.
+    f = parse_form("(65/8)*9964^n - (165/4)*9000^n - (3/8)*9373^n")
+    with pytest.raises(ResourceLimitError, match="term products"):
+        sqrt_approximation(f, 0)
+
+
+def _term_text(coef):
+    return str(coef) if coef.denominator == 1 else f"({coef})"
+
+
+# Texts "c*b^n +- c*b^n ..." with integer bases, a third of them in
+# 9000..10000 so that ratios near 1 (deep or wide series) come up often.
+_fuzz_coefs = st.fractions(min_value=F(1, 8), max_value=64, max_denominator=8).map(_term_text)
+_fuzz_bases = st.one_of(st.integers(1, 16), st.integers(1, 10**4), st.integers(9000, 10**4))
+_fuzz_texts = st.builds(
+    lambda c, b, rest: f"{c}*{b}^n" + "".join(f" {s} {c}*{b}^n" for s, c, b in rest),
+    _fuzz_coefs, _fuzz_bases,
+    st.lists(st.tuples(st.sampled_from("+-"), _fuzz_coefs, _fuzz_bases), max_size=3),
+)
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=3))
+@given(_fuzz_texts, st.integers(min_value=0, max_value=1))
+def test_fuzz_forms_answer_or_hit_a_cap_in_time(text, j):
+    f = parse_form(text)
+    assume(not f.is_zero and dominant(f)[0] > 0)
+    for run in (lambda: decide_hypothesis(f), lambda: sqrt_approximation(f, j)):
+        try:
+            run()
+        except ResourceLimitError:
+            pass
 
 
 # --- trivial criterion ------------------------------------------------------

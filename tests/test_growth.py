@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surdlab import surd
 from surdlab.forms import normalize, parse_form
 from surdlab.growth import (
     PellQuery,
@@ -18,9 +19,15 @@ from surdlab.growth import (
     min_solution_growth,
     partial_quotient_profile,
 )
-from surdlab.surd import SquareInputError, is_perfect_square
+from surdlab.surd import (
+    DEFAULT_DIGIT_BUDGET,
+    SquareInputError,
+    _digit_budget_bits,
+    _least_convergent_below,
+    is_perfect_square,
+)
 
-from oracles import brute_force_pell
+from oracles import brute_force_pell, plain_min_solution
 
 F = Fraction
 TITLE = parse_form("2*4^n + 1")
@@ -109,6 +116,107 @@ def test_min_solution_growth_respects_caps():
     result = min_solution_growth(TITLE, 2, range(8, 9), y_limit=10)
     assert result.records == ()
     assert (8, "cap") in result.skipped
+
+
+def test_min_solution_growth_rejects_bad_boxes():
+    for C in (0, -3):
+        with pytest.raises(ValueError, match="C must be a positive integer"):
+            min_solution_growth(TITLE, C, range(3, 4))
+    with pytest.raises(ValueError, match="y_limit must be positive"):
+        min_solution_growth(TITLE, 2, range(3, 4), y_limit=0)
+
+
+def test_min_solution_growth_c1_is_cap_without_walking(monkeypatch):
+    # |X^2 - D*Y^2| < 1 has no solution for non-square D.
+    def no_walk(*args, **kwargs):
+        raise AssertionError("C = 1 must not walk")
+
+    monkeypatch.setattr(surd, "_midpoint_walk", no_walk)
+    result = min_solution_growth(TITLE, 1, range(1, 40))
+    assert result.records == ()
+    assert result.skipped == ((1, "square"),) + tuple((n, "cap") for n in range(2, 40))
+
+
+def _y_max(y_limit, bits_cap):
+    """The one bound min_solution_growth applies: Y <= y_limit and
+    Y.bit_length() <= bits_cap."""
+    y_max = (1 << bits_cap) - 1
+    return y_max if y_limit is None else min(y_max, y_limit)
+
+
+# (C, y_limit, bits cap) with one representative per distinct y_max: the
+# per-step oracle stops at the first q over y_max, so the others repeat it.
+# C = 1 walks the oracle to the cap, so it gets the small caps only.
+_ORACLE_BOXES = list({
+    (C, _y_max(y_limit, bits)): (C, y_limit, bits)
+    for C in (1, 2, 3, 5, 17)
+    for bits in ((3, 10) if C == 1 else (3, 10, 64, 2000))
+    for y_limit in (None, 10, 10**6)
+}.values())
+
+
+def test_least_convergent_matches_per_step_oracle_below_20000():
+    for D in range(2, 20000):
+        if is_perfect_square(D):
+            continue
+        for C, y_limit, bits in _ORACLE_BOXES:
+            got = _least_convergent_below(D, C, _y_max(y_limit, bits))
+            assert got == plain_min_solution(D, C, y_limit, bits), (D, C, y_limit, bits)
+
+
+@pytest.mark.parametrize("C", [2, 3, 17])
+def test_min_solution_growth_matches_oracle_on_title_family(C):
+    bits = _digit_budget_bits(DEFAULT_DIGIT_BUDGET)
+    result = min_solution_growth(TITLE, C, range(2, 17), check_hypothesis=False)
+    assert result.skipped == ()
+    for rec in result.records:
+        want = plain_min_solution(rec.metadata["D"], C, None, bits)
+        assert (rec.metadata["X"], rec.metadata["Y"], rec.metadata["value"]) == (
+            want.X, want.Y, want.value), rec.n
+
+
+@pytest.mark.parametrize("budget", [6000, 7000, 8000])
+def test_min_solution_growth_matches_oracle_under_digit_caps(budget):
+    # The benchmark's capped scan: n = 17 is over every one of these budgets.
+    bits = _digit_budget_bits(budget)
+    result = min_solution_growth(TITLE, 2, range(10, 18), digit_budget=budget,
+                                 check_hypothesis=False)
+    assert (17, "cap") in result.skipped
+    by_n = {rec.n: rec for rec in result.records}
+    for n in range(10, 18):
+        want = plain_min_solution(2 * 4**n + 1, 2, None, bits)
+        got = by_n.get(n)
+        assert (want is None) == (got is None), n
+        if want is not None:
+            assert (got.metadata["X"], got.metadata["Y"]) == (want.X, want.Y), n
+
+
+def test_capped_rows_build_no_convergent_past_twice_the_cap(monkeypatch):
+    built = []
+
+    def recording(fn, size):
+        def wrapper(*args):
+            result = fn(*args)
+            built.append(size(result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(surd, "_word_matrix", recording(
+        surd._word_matrix, lambda m: max(m).bit_length()))
+    monkeypatch.setattr(surd, "_pell_from_half", recording(
+        surd._pell_from_half, lambda pq: pq[1].bit_length()))
+    cases = [(D, C, (1 << bits) - 1) for D in range(2, 3000) if not is_perfect_square(D)
+             for C in (2, 3, 17) for bits in (10, 64)]
+    cases += [(2 * 4**n + 1, 2, (1 << _digit_budget_bits(budget)) - 1)
+              for n in range(10, 18) for budget in (6000, 7000, 8000)]
+    caps = 0
+    for D, C, y_max in cases:
+        built.clear()
+        if _least_convergent_below(D, C, y_max) is None:
+            caps += 1
+            cap_bits = y_max.bit_length()
+            assert max(built, default=0) <= 2 * cap_bits + 2, (D, C, cap_bits, built)
+    assert caps > 1000
 
 
 def test_least_squares_slope():
