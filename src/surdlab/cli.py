@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="n range a..b")
     p.add_argument("--summary", action="store_true",
                    help="print the suffix minimum of r to stderr")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="processes that walk rows, this one included")
     _add_word_cap(p, "longest r whose palindrome_ok is reported; longer rows get "
                   "null and the word-cap note (rows keep no word in memory)")
     _add_strict(p)

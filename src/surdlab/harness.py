@@ -5,9 +5,16 @@ record per n: the integer f(n), squareness, the period length r, the
 palindrome flag (true up to the word cap, null past it), the sign of
 the fundamental Pell value, and the largest partial quotient of the
 period, which is the closing quotient 2*a0.  A row walks only to the
-palindrome midpoint and keeps no word.  Output is byte-identical across
-runs and worker counts; per-n work may fan out to processes since every
-value involved is exact.
+palindrome midpoint and keeps no word.
+
+With ``jobs`` > 1 the calling process walks rows itself beside
+``jobs - 1`` child processes (self-scheduling): every process claims the
+next unclaimed row from one shared counter, largest n first, since a
+family's last rows are its longest walks, and each child sends its rows
+once, when the rows run out.  No thread and no executor is started, and
+``multiprocessing`` is imported only when a child will run.  Every value
+is exact, so the records are byte-identical across runs, worker counts
+and start methods.
 
 ``emit_table`` turns columns and rows of raw values into CSV, JSON or
 ``label: value`` text; every CLI subcommand prints through it, and
@@ -16,10 +23,11 @@ value involved is exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .forms import (
     PowerSumForm,
@@ -67,6 +75,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_end < self.n_start:
             raise ValueError("empty n range")
+        if self.n_start < 0:
+            # Checked before any row runs: rows are walked largest n first.
+            raise ValueError("evaluation at negative n is not defined")
         if self.word_cap < 1 or self.jobs < 1:
             raise ValueError("caps and worker counts must be positive")
 
@@ -87,8 +98,7 @@ class FamilyRecord:
     notes: str = ""
 
 
-def _family_row(args: tuple[PowerSumForm, int, int]) -> FamilyRecord:
-    form, n, word_cap = args
+def _family_row(form: PowerSumForm, n: int, word_cap: int) -> FamilyRecord:
     value = eval_exact(form, n)
     if value.denominator != 1:
         return FamilyRecord(n, None, False, None, None, None, None, "non-integer")
@@ -114,13 +124,87 @@ def _family_row(args: tuple[PowerSumForm, int, int]) -> FamilyRecord:
 
 
 def run_family(config: ExperimentConfig) -> list[FamilyRecord]:
-    """One record per n, ascending; deterministic for any worker count."""
-    tasks = [(config.form, n, config.word_cap) for n in config.n_range]
+    """One record per n, ascending; deterministic for any worker count.
+
+    An exception raised by a row, in this process or in a child, reaches
+    the caller with its type and message; children still walking are
+    terminated on the way out.
+    """
+    # Largest n first: a family's last rows are its longest walks.
+    tasks = [(config.form, n, config.word_cap) for n in reversed(config.n_range)]
     workers = min(config.jobs, len(tasks))
-    if workers <= 1:
-        return [_family_row(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_family_row, tasks))
+    if workers > 1:
+        done = _walk_with_children(tasks, workers - 1)
+    else:
+        done = _walk(tasks, itertools.count().__next__)
+    done.sort(key=lambda item: item[0], reverse=True)
+    return [record for _, record in done]
+
+
+def _walk(tasks: list, claim: Callable[[], int]) -> list[tuple[int, FamilyRecord]]:
+    """Walk the rows ``claim`` hands out until it runs past the last."""
+    done = []
+    while (i := claim()) < len(tasks):
+        done.append((i, _family_row(*tasks[i])))
+    return done
+
+
+def _claim(counter) -> int:
+    with counter.get_lock():
+        i = counter.value
+        counter.value = i + 1
+    return i
+
+
+def _child_walk(tasks: list, counter, conn) -> None:
+    """Child process body: send the walked rows, or the failure, once."""
+    try:
+        result = _walk(tasks, partial(_claim, counter))
+    except Exception as exc:
+        with counter.get_lock():
+            counter.value = len(tasks)  # no process claims another row
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _walk_with_children(tasks: list, children: int) -> list[tuple[int, FamilyRecord]]:
+    """Walk rows here and in ``children`` processes; merge what they send."""
+    import multiprocessing
+
+    counter = multiprocessing.Value("q", 0)
+    procs, conns = [], []
+    try:
+        for _ in range(children):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            conns.append(recv)
+            proc = multiprocessing.Process(target=_child_walk, args=(tasks, counter, send),
+                                           daemon=True)
+            proc.start()
+            procs.append(proc)
+            # Only the child holds the write end, so its death reads as EOF.
+            send.close()
+        done = _walk(tasks, partial(_claim, counter))
+        for proc, recv in zip(procs, conns):
+            try:
+                result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"family worker exited with code {proc.exitcode} "
+                                   "before sending its rows") from None
+            if isinstance(result, BaseException):
+                raise result
+            done += result
+        return done
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for recv in conns:
+            recv.close()
 
 
 def suffix_min_periods(records: list[FamilyRecord]) -> list[tuple[int, int]]:

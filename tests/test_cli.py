@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import surdlab
+import surdlab.harness as harness
 from surdlab.cli import main
 
 
@@ -576,6 +583,8 @@ GOLDEN_MATRIX = [
     # digit budget prints (~8 s); C < 1 is bad input, as for `pell scan --D`.
     ("pell scan --form '2*4^n + 1' --C 1 --n 3..3", 0, "a35e94d47f2c458e", "0813df1585dcd896"),
     ("pell scan --form '2*4^n + 1' --C 0 --n 3..3", 2, "e3b0c44298fc1c14", "b3ae932c29790d1d"),
+    # Refused before any row is walked, so n = 40 (hours of walking) never starts.
+    ("family --form '2*4^n + 1' --n=-1..40 --jobs 2", 2, "e3b0c44298fc1c14", "14d0a30a11973e3e"),
 ]
 
 
@@ -598,3 +607,53 @@ def test_output_integers_have_no_str_digit_limit(capsys):
     assert code == 0
     row = out.splitlines()[1]
     assert row.startswith("34000,1") and row.endswith(",1,-1,0.000000")
+
+
+def _python(*args, **kwargs):
+    src = str(Path(surdlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                          timeout=60, **kwargs)
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    proc = _python("-c", "import sys, surdlab.cli; print('multiprocessing' in sys.modules)")
+    assert proc.stdout == b"False\n", proc.stderr
+
+
+MIXED_FAMILY = ["family", "--form", "(1/2)*4^n + 2^n - 8", "--n", "0..14", "--word-cap", "20"]
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_family_bytes_under_spawn_match_one_job(capsys, jobs):
+    # spawn is the default start method on macOS and Windows: children
+    # start from a fresh import and get their rows by pickle.
+    script = (
+        "import multiprocessing, sys\n"
+        "from surdlab.cli import main\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    sys.exit(main(sys.argv[1:]))\n"
+    )
+    for fmt in ("csv", "json"):
+        argv = MIXED_FAMILY + ["--format", fmt]
+        code, out, err = run(capsys, *argv, "--jobs", "1")
+        proc = _python("-c", script, *argv, "--jobs", jobs)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched row reaches child processes only under fork")
+def test_family_row_failure_is_the_same_for_any_jobs(capsys, monkeypatch):
+    real = harness._family_row
+
+    def row(form, n, word_cap):
+        if n == 9:
+            raise ValueError("row 9 failed")
+        return real(form, n, word_cap)
+
+    monkeypatch.setattr(harness, "_family_row", row)
+    results = {jobs: run(capsys, *MIXED_FAMILY, "--jobs", jobs) for jobs in ("1", "2", "3")}
+    assert results["1"] == (2, "", "error: row 9 failed\n")
+    assert results["2"] == results["3"] == results["1"]
+    assert multiprocessing.active_children() == []

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
+import surdlab.harness as harness
 from surdlab.forms import parse_form
 from surdlab.harness import (
     ExperimentConfig,
@@ -190,13 +196,115 @@ def test_identity_checks_report_counterexamples():
 
 
 def test_run_family_clamps_pool_to_task_count(monkeypatch):
-    import surdlab.harness as harness
+    started = []
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("pool started")
+    class CountingProcess(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    expected = emit(run_family(_config(TITLE, 5, 5)), "csv")
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-    assert emit(run_family(_config(TITLE, 5, 5, jobs=64)), "csv") == expected
-    with pytest.raises(AssertionError, match="pool started"):
-        run_family(_config(TITLE, 5, 6, jobs=64))
+    expected = emit(run_family(_config(TITLE, 5, 6)), "csv")
+    monkeypatch.setattr(multiprocessing, "Process", CountingProcess)
+    # One row: no process at all, however many jobs are asked for.
+    assert run_family(_config(TITLE, 5, 5, jobs=64)) == run_family(_config(TITLE, 5, 5))
+    assert started == []
+    # Two rows: this process walks one share, exactly one child the other.
+    assert emit(run_family(_config(TITLE, 5, 6, jobs=64)), "csv") == expected
+    assert len(started) == 1
+
+
+# Square, non-integer, non-positive, plain and word-cap rows over n = 0..14.
+MIXED = parse_form("(1/2)*4^n + 2^n - 8")
+
+
+def test_run_family_is_identical_for_one_two_and_three_jobs():
+    records = run_family(_config(MIXED, 0, 14, word_cap=20))
+    assert {rec.notes for rec in records} == {"non-integer", "non-positive", "square",
+                                               "", "word-cap"}
+    assert [rec.n for rec in records] == list(range(15))
+    for jobs in (2, 3):
+        assert run_family(_config(MIXED, 0, 14, word_cap=20, jobs=jobs)) == records
+
+
+def test_config_rejects_negative_n_before_any_row():
+    with pytest.raises(ValueError, match="evaluation at negative n is not defined"):
+        ExperimentConfig(TITLE, -1, 40, jobs=2)
+    assert ExperimentConfig(TITLE, 0, 0).n_range == range(0, 1)
+
+
+# A failing row reaches a child only through fork, which inherits the patch.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="patched rows reach child processes only under fork",
+)
+
+
+def _in_child() -> bool:
+    return multiprocessing.parent_process() is not None
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, when the body outlives ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@needs_fork
+def test_failing_row_here_terminates_a_child_mid_row(monkeypatch):
+    def row(form, n, word_cap):
+        # The child claims the other row while this one waits, then sleeps.
+        time.sleep(2 if _in_child() else 0.2)
+        raise ValueError(f"row {n} failed")
+
+    monkeypatch.setattr(harness, "_family_row", row)
+    start = time.perf_counter()
+    with _deadline(10), pytest.raises(ValueError, match=r"row \d failed"):
+        run_family(_config(TITLE, 1, 2, jobs=2))
+    assert time.perf_counter() - start < 1
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_failing_row_in_a_child_reaches_the_caller(monkeypatch):
+    real = harness._family_row
+
+    def row(form, n, word_cap):
+        if _in_child():
+            raise ArithmeticError(f"row {n} failed in a child")
+        time.sleep(0.2)
+        return real(form, n, word_cap)
+
+    monkeypatch.setattr(harness, "_family_row", row)
+    start = time.perf_counter()
+    with _deadline(10), pytest.raises(ArithmeticError, match=r"row \d+ failed in a child"):
+        run_family(_config(TITLE, 1, 12, jobs=3))
+    # The failing child stops every process from claiming another row.
+    assert time.perf_counter() - start < 1
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_child_dying_without_rows_is_an_error(monkeypatch):
+    real = harness._family_row
+
+    def row(form, n, word_cap):
+        if _in_child():
+            os._exit(7)
+        time.sleep(0.1)
+        return real(form, n, word_cap)
+
+    monkeypatch.setattr(harness, "_family_row", row)
+    with _deadline(10), pytest.raises(RuntimeError,
+                                      match="exited with code 7 before sending its rows"):
+        run_family(_config(TITLE, 1, 12, jobs=2))
+    assert multiprocessing.active_children() == []
