@@ -26,7 +26,7 @@ from .forms import (
     parse_form,
     scale,
 )
-from .intervals import Interval, certify_below, sqrt_interval
+from .intervals import Interval, sqrt_interval
 from .surd import (
     CFExpansion,
     Convergent,

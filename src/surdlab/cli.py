@@ -378,8 +378,8 @@ def _run_expand(args, out: _Output) -> int:
     fmt = _format(args, "csv", "json")
     rows = []
     for n, err, decay in error_table(approx, _parse_n_range(args.n_range)):
-        errors = [float(err.lo), float(err.hi)]
-        decays = [None, None] if decay is None else [float(decay.lo), float(decay.hi)]
+        errors = [num / den for num, den in err]
+        decays = [None, None] if decay is None else [num / den for num, den in decay]
         if fmt == "csv":
             errors = [f"{e:.6e}" for e in errors]
             decays = [None if d is None else f"{d:.4f}" for d in decays]

@@ -9,6 +9,9 @@ the ratio of the two largest bases), producing an approximation
 ``sqrt(a1) * f1(n) / b1**((k - 1/2)*n)`` with ``f1`` an exact form with
 integer bases.  The irrational scale is never materialized: everything
 is certified through its square or through interval arithmetic.
+``error_table`` certifies the error row by row with integer square roots:
+each bound is an exact ratio of integers over one shared denominator per
+row (fixed-point interval endpoints), never a reduced Fraction.
 
 ``decide_hypothesis`` asks whether some parity ``j`` admits an exact
 decomposition ``f(2n+j) = h(n)**2 + g(n)`` with ``h`` a form with
@@ -21,6 +24,7 @@ structurally, so the verdict needs no floating point at all.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +43,7 @@ from .forms import (
     relative_tail,
     scale,
 )
-from .intervals import Interval, sqrt_interval
+from .intervals import Interval
 from .surd import ResourceLimitError
 
 HOLDS = "holds"
@@ -216,45 +220,105 @@ def algebraic_residual(approx: SqrtApprox) -> PowerSumForm:
     return add(lhs, scale(rhs, -1))
 
 
-def approx_value_interval(approx: SqrtApprox, n: int, bits: int) -> Interval:
-    """Certified enclosure of the approximation's value at ``n``."""
-    lead, base = approx.lead_coefficient, approx.lead_base
-    root = sqrt_interval(lead * base**n, bits)
+# A certified bound ``lo <= x <= hi`` as two exact integer ratios,
+# ``((lo_num, lo_den), (hi_num, hi_den))`` with positive denominators.
+Bounds = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _integer_terms(f: PowerSumForm) -> tuple[int, list[int], list[int]]:
+    """``(L, C, b)`` with ``f(n) = sum(C[i] * b[i]**n) / L``, all integers.
+
+    ``L`` is the lcm of the coefficient denominators; bases must be integers.
+    """
+    L = math.lcm(*(c.denominator for c, _ in f.terms))
+    return (L, [c.numerator * (L // c.denominator) for c, _ in f.terms],
+            [b.numerator for _, b in f.terms])
+
+
+def error_table(
+    approx: SqrtApprox, n_range: range, bits: int | None = None
+) -> list[tuple[int, Bounds, Bounds | None]]:
+    """Rows ``(n, error, decay)`` of certified bounds as exact integer ratios.
+
+    ``error`` is ``((lo, den), (hi, den))`` with ``den > 0`` and
+    ``lo/den <= |sqrt(source(n)) - approximation(n)| <= hi/den``.  ``decay``
+    bounds the previous row's error over this one's the same way; it is
+    None on the first row and wherever ``lo`` is 0.  No ratio is brought to
+    lowest terms: each is meant for one correctly rounded ``num / den``.
+
+    The bounds are Moore interval arithmetic on integer endpoints.  Both
+    square roots are bracketed as in ``intervals.sqrt_interval``:
+    ``sqrt(p/q)`` lies in ``[s, s + 1]/(q << bits)`` with
+    ``s = isqrt(p*q << 2*bits)`` for the reduced ``p/q``, here
+    ``source(n) = N/L`` (reduced against the small ``L``) and
+    ``lead*B**n = a*B**n/lq`` (reduced against ``lq``).  The series factor
+    ``f1(n)/B**(k*n)`` is ``S/(M*B**(k*n))`` with ``S`` an integer, so every
+    endpoint is an integer over ``den = q*lq*M*B**(k*n) << bits`` and no
+    row takes a big gcd.  ``bits`` forces the precision of every row; by
+    default it is ``max(96, int(n*log2(error_base)) + 96)``.
+    """
     if approx.is_single_term:
-        return root
-    factor = eval_exact(approx.series_form, n) / base ** (approx.depth * n)
-    return root.scale(factor)
+        return [(n, ((0, 1), (0, 1)), None) for n in n_range]
+    L, source, source_bases = _integer_terms(approx.source)
+    M, series, series_bases = _integer_terms(approx.series_form)
+    bases, cut = source_bases + series_bases, len(source)
+    a, lq = approx.lead_coefficient.numerator, approx.lead_coefficient.denominator
+    log_rate = math.log2(float(approx.error_base))
+    rows: list[tuple[int, Bounds, Bounds | None]] = []
+    prev = None
+    for n in n_range:
+        if n < 0:
+            raise ValueError("evaluation at negative n is not defined")
+        if prev is not None and n == prev[0] + 1:
+            powers = [w * b for w, b in zip(powers, bases)]
+        else:
+            powers = [b**n for b in bases]
+        shift = bits if bits is not None else max(96, int(n * log_rate) + 96)
+        N = sum(map(operator.mul, source, powers))
+        if N < 0:
+            raise ValueError(f"source({n}) = {Fraction(N, L)} is negative")
+        g = math.gcd(N % L, L)
+        q = L // g
+        root = math.isqrt((N // g) * q << 2 * shift)
+        h = math.gcd(powers[0] % lq, lq)  # powers[0] = B**n
+        lead_root = math.isqrt((a * powers[0] // h) * (lq // h) << 2 * shift)
+        S = sum(map(operator.mul, series, powers[cut:]))
+        # sqrt(source(n)) lies in [root, root + 1] * x/den and the
+        # approximation in [lead_root, lead_root + 1] * y/den.
+        x = lq * M * powers[cut]  # powers[cut] = B**(k*n)
+        y = q * h * S
+        d = root * x - lead_root * y
+        lo, hi = (d - y, d + x) if y >= 0 else (d, d + x - y)
+        if hi <= 0:
+            lo, hi = -hi, -lo
+        elif lo < 0:
+            lo, hi = 0, max(-lo, hi)
+        decay = None
+        if prev is not None and lo > 0:
+            # den/den_prev = up/down = (q/q_prev) * (B**k)**(n - n_prev)
+            # * 2**(shift - shift_prev): only small factors, no big product.
+            pn, plo, phi, pq, pshift = prev
+            up, down = q << max(shift - pshift, 0), pq << max(pshift - shift, 0)
+            if n > pn:
+                up *= series_bases[0] ** (n - pn)
+            else:
+                down *= series_bases[0] ** (pn - n)
+            decay = ((plo * up, down * hi), (phi * up, down * lo))
+        den = (q * x) << shift
+        rows.append((n, ((lo, den), (hi, den)), decay))
+        prev = n, lo, hi, q, shift
+    return rows
 
 
 def error_interval(approx: SqrtApprox, n: int, bits: int | None = None) -> Interval:
     """Certified enclosure of ``|sqrt(source(n)) - approximation(n)|``.
 
-    For single-term sources the representation is exact, so the error is
-    the zero interval.
+    Row ``n`` of ``error_table``, ``[lo/den, hi/den]``, as reduced
+    fractions.  For single-term sources the representation is exact, so
+    the error is the zero interval.
     """
-    if approx.is_single_term:
-        return Interval(Fraction(0), Fraction(0))
-    if bits is None:
-        rate = float(approx.error_base) if approx.error_base else 2.0
-        bits = max(96, int(n * math.log2(rate)) + 96)
-    value = eval_exact(approx.source, n)
-    if value < 0:
-        raise ValueError(f"source({n}) = {value} is negative")
-    return abs(sqrt_interval(value, bits) - approx_value_interval(approx, n, bits))
-
-
-def error_table(
-    approx: SqrtApprox, n_range: range
-) -> list[tuple[int, Interval, Interval | None]]:
-    """Rows ``(n, certified error, certified decay from previous n)``."""
-    rows: list[tuple[int, Interval, Interval | None]] = []
-    prev: Interval | None = None
-    for n in n_range:
-        err = error_interval(approx, n)
-        decay = prev / err if prev is not None and err.lo > 0 else None
-        rows.append((n, err, decay))
-        prev = err
-    return rows
+    ((_, bounds, _),) = error_table(approx, range(n, n + 1), bits)
+    return Interval(*(Fraction(num, den) for num, den in bounds))
 
 
 # ---------------------------------------------------------------------------

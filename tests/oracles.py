@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+from surdlab.forms import eval_exact
+from surdlab.intervals import Interval, sqrt_interval
 from surdlab.surd import PellSolution, isqrt
 
 
@@ -67,3 +70,42 @@ def plain_min_solution(D: int, C: int, y_limit: int | None, bits_cap: int
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         sign = -sign
+
+
+def interval_approx_value(approx, n: int, bits: int) -> Interval:
+    """Enclosure of ``sqrt(lead*B**n) * f1(n) / B**(k*n)`` in reduced Fractions."""
+    lead, base = approx.lead_coefficient, approx.lead_base
+    root = sqrt_interval(lead * base**n, bits)
+    if approx.is_single_term:
+        return root
+    factor = eval_exact(approx.series_form, n) / base ** (approx.depth * n)
+    return root.scale(factor)
+
+
+def interval_error(approx, n: int, bits: int | None = None) -> Interval:
+    """Enclosure of ``|sqrt(source(n)) - approximation(n)|`` in reduced Fractions.
+
+    The same brackets and the same ``bits`` rule as ``expansion.error_table``,
+    computed independently of its integer kernel: every endpoint is a
+    reduced Fraction and every step an ``Interval`` operation.
+    """
+    if approx.is_single_term:
+        return Interval(Fraction(0), Fraction(0))
+    if bits is None:
+        bits = max(96, int(n * math.log2(float(approx.error_base))) + 96)
+    value = eval_exact(approx.source, n)
+    if value < 0:
+        raise ValueError(f"source({n}) = {value} is negative")
+    return abs(sqrt_interval(value, bits) - interval_approx_value(approx, n, bits))
+
+
+def interval_error_table(approx, n_range: range, bits: int | None = None
+                         ) -> list[tuple[int, Interval, Interval | None]]:
+    """Rows ``(n, error, decay)`` of ``interval_error``, decay = previous / this."""
+    rows = []
+    prev = None
+    for n in n_range:
+        err = interval_error(approx, n, bits)
+        rows.append((n, err, prev / err if prev is not None and err.lo > 0 else None))
+        prev = err
+    return rows

@@ -202,10 +202,11 @@ def test_acceptance_7_expansion_decay():
     assert approx.series_form == parse_form("16^n + (1/4)*4^n")
 
     ok = True
-    for n, err, decay in error_table(approx, range(2, 25)):
-        assert err.lo > 0
+    for n, ((lo, _), _), decay in error_table(approx, range(2, 25)):
+        assert lo > 0
         if decay is not None:
-            ok &= decay.lo >= 4 and decay.hi <= 16
+            d_lo, d_hi = (Fraction(*ratio) for ratio in decay)
+            ok &= d_lo >= 4 and d_hi <= 16
     _report(7, ok, "certified decay within [4, 16] per unit n over [2, 24]")
     assert ok
 

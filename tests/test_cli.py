@@ -585,6 +585,22 @@ GOLDEN_MATRIX = [
     ("pell scan --form '2*4^n + 1' --C 0 --n 3..3", 2, "e3b0c44298fc1c14", "b3ae932c29790d1d"),
     # Refused before any row is walked, so n = 40 (hours of walking) never starts.
     ("family --form '2*4^n + 1' --n=-1..40 --jobs 2", 2, "e3b0c44298fc1c14", "14d0a30a11973e3e"),
+    # expand sqrt beyond n = 2..5, taken while the bounds were reduced
+    # Fractions: the three benchmark anchor forms to their full ranges,
+    # rational and negative coefficients, a single-term form (zero error,
+    # empty decay cells) and both exit-2 paths.
+    ("expand sqrt --form '3*7^n - 5*5^n + 2*3^n' --j 1 --n-range 2..150", 0, "9e0379242508f6f2", "912d2b8e3b34a228"),
+    ("expand sqrt --form '3*7^n - 5*5^n + 2*3^n' --j 1 --n-range 2..150 --format json", 0, "751915b98879d651", "912d2b8e3b34a228"),
+    ("expand sqrt --form '9*15^n + 6*7^n - 2^n + 5' --j 1 --n-range 1..140", 0, "2233c201541476ca", "77f0b9c28c508a17"),
+    ("expand sqrt --form '9*15^n + 6*7^n - 2^n + 5' --j 1 --n-range 1..140 --format json", 0, "ce101aac11a8d66c", "77f0b9c28c508a17"),
+    ("expand sqrt --form '7*16^n + 3*9^n - 4*5^n + 2' --j 1 --n-range 1..140", 0, "c2b992e1c41d8c1d", "b0f4e0e8959b4391"),
+    ("expand sqrt --form '7*16^n + 3*9^n - 4*5^n + 2' --j 1 --n-range 1..140 --format json", 0, "1997b0e0e5f91fde", "b0f4e0e8959b4391"),
+    ("expand sqrt --form '(7/2)*9^n - (5/3)*4^n + 2' --j 1 --n-range 1..6", 0, "d78a25aa55766b61", "981b48b8b5b01574"),
+    ("expand sqrt --form '(7/2)*9^n - (5/3)*4^n + 2' --j 1 --n-range 1..6 --format json", 0, "149781ae63a256e3", "981b48b8b5b01574"),
+    ("expand sqrt --form '5^n' --j 0 --n-range 1..3", 0, "8813263e222f4ad5", "3c726ff94138523c"),
+    ("expand sqrt --form '5^n' --j 0 --n-range 1..3 --format json", 0, "74a93dc07d1e8a1f", "3c726ff94138523c"),
+    ("expand sqrt --form '4^n - 3*3^n' --j 0 --n-range 0..5", 2, "e3b0c44298fc1c14", "c54cce97a4404a25"),
+    ("expand sqrt --form '2*4^n + 1' --j 0 --n-range=-1..2", 2, "e3b0c44298fc1c14", "329a6a6093a4ddb1"),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from datetime import timedelta
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from surdlab.expansion import (
     HOLDS,
     HOLDS_TRIVIALLY,
     algebraic_residual,
-    approx_value_interval,
     decide_hypothesis,
     error_interval,
     error_table,
@@ -40,6 +40,8 @@ from surdlab.forms import (
     scale,
 )
 from surdlab.surd import ResourceLimitError
+
+from oracles import interval_approx_value, interval_error, interval_error_table
 
 F = Fraction
 TITLE = parse_form("2*4^n + 1")
@@ -84,11 +86,12 @@ def test_title_family_certified_decay_band():
     approx = sqrt_approximation(TITLE, 0)
     lo_bound = F(approx.error_base, 2)
     hi_bound = 2 * approx.error_base
-    for n, err, decay in error_table(approx, range(2, 25)):
-        assert err.lo > 0
+    for n, ((lo, _), _), decay in error_table(approx, range(2, 25)):
+        assert lo > 0
         if decay is not None:
-            assert decay.certainly_above(lo_bound)
-            assert decay.certainly_below(hi_bound)
+            d_lo, d_hi = (F(*ratio) for ratio in decay)
+            assert d_lo > lo_bound
+            assert d_hi < hi_bound
 
 
 def test_title_family_j1_expansion():
@@ -98,11 +101,12 @@ def test_title_family_j1_expansion():
     assert approx.depth == 2
     assert approx.series_form == parse_form("256^n + (1/16)*16^n")
     assert approx.error_base == 64
-    for n, err, decay in error_table(approx, range(2, 13)):
-        assert err.lo > 0
+    for n, ((lo, _), _), decay in error_table(approx, range(2, 13)):
+        assert lo > 0
         if decay is not None:
-            assert decay.certainly_above(F(32))
-            assert decay.certainly_below(F(128))
+            d_lo, d_hi = (F(*ratio) for ratio in decay)
+            assert d_lo > 32
+            assert d_hi < 128
 
 
 def test_algebraic_residual_bound():
@@ -133,7 +137,7 @@ def test_single_term_form_is_exact():
     assert approx.is_single_term
     err = error_interval(approx, 4, bits=64)
     assert err.lo == err.hi == 0
-    value = approx_value_interval(approx, 3, bits=64)
+    value = interval_approx_value(approx, 3, bits=64)
     assert value.lo <= 125 <= value.hi  # sqrt(25^3) = 125
 
 
@@ -159,6 +163,100 @@ def test_composed_expansion_upper_bound():
     for n in range(3, 10):
         err = error_interval(approx, n)
         assert err.hi < scale_const / approx.error_base**n
+
+
+# --- certified error tables against the Fraction oracle -------------------
+
+
+def _as_fractions(bounds):
+    return None if bounds is None else [F(num, den) for num, den in bounds]
+
+
+def _assert_table_matches_oracle(approx, n_range, bits=None):
+    """error_table equals the reduced-Fraction interval computation exactly.
+
+    Also its floats: one ``num / den`` per bound is ``float`` of the
+    reduced Fraction.  Either both raise the same ValueError, or the rows
+    agree; the rows are returned.
+    """
+    try:
+        want = interval_error_table(approx, n_range, bits)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            error_table(approx, n_range, bits)
+        return None
+    rows = error_table(approx, n_range, bits)
+    assert [n for n, _, _ in rows] == list(n_range)
+    for (n, err, decay), (_, want_err, want_decay) in zip(rows, want):
+        assert all(den > 0 for _, den in err + (decay or ()))
+        assert _as_fractions(err) == [want_err.lo, want_err.hi], n
+        want_decay = None if want_decay is None else [want_decay.lo, want_decay.hi]
+        assert _as_fractions(decay) == want_decay, n
+        assert [num / den for num, den in err] == [float(want_err.lo), float(want_err.hi)]
+        if decay is not None:
+            assert [num / den for num, den in decay] == [float(x) for x in want_decay]
+    if rows:
+        n = rows[0][0]
+        assert error_interval(approx, n, bits) == interval_error(approx, n, bits)
+    return rows
+
+
+@pytest.mark.parametrize("text, j", [
+    ("2*4^n + 1", 0), ("2*4^n + 1", 1), ("4^n - 2^n", 0), ("8^n + 2^n", 0),
+    ("(7/2)*9^n - (5/3)*4^n + 2", 1), ("3*7^n - 5*5^n + 2*3^n", 1), ("5^n", 0),
+])
+def test_error_table_equals_fraction_oracle(text, j):
+    approx = sqrt_approximation(parse_form(text), j)
+    for bits in (None, 1, 2, 4, 8):
+        _assert_table_matches_oracle(approx, range(0, 31), bits)
+    # With steps other than +1 the powers are not carried, and walked
+    # downward den shrinks from row to row.
+    _assert_table_matches_oracle(approx, range(1, 31, 3))
+    _assert_table_matches_oracle(approx, range(30, -1, -3))
+
+
+def test_error_table_rows_straddling_zero():
+    # At bits <= 8 the two brackets of 2*4^n + 1 overlap at n = 6: the
+    # enclosure straddles zero, so lo is 0 and the row has no decay.
+    approx = sqrt_approximation(TITLE, 0)
+    for bits in (1, 2, 4, 8):
+        _, ((lo, _), (hi, _)), decay = _assert_table_matches_oracle(
+            approx, range(0, 13), bits)[6]
+        assert lo == 0 < hi and decay is None
+    # Walked downward at 8 bits, n = 1 is the first row with lo > 0: its
+    # decay is bounded below by the straddling row's lo, 0.
+    rows = _assert_table_matches_oracle(approx, range(12, -1, -1), 8)
+    assert [n for n, ((lo, _), _), _ in rows if lo > 0] == [1, 0]
+    assert rows[-2][2][0][0] == 0
+
+
+def test_error_table_negative_inputs_fail_as_the_oracle_does():
+    approx = sqrt_approximation(parse_form("4^n - 3*3^n"), 0)
+    with pytest.raises(ValueError, match=r"^source\(0\) = -2 is negative$"):
+        error_table(approx, range(0, 6))
+    _assert_table_matches_oracle(approx, range(0, 6))
+    with pytest.raises(ValueError, match="negative n is not defined"):
+        error_table(sqrt_approximation(TITLE, 0), range(-1, 3))
+    _assert_table_matches_oracle(sqrt_approximation(TITLE, 0), range(-1, 3))
+
+
+_oracle_terms = st.lists(
+    st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=6), st.integers(1, 16)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(_oracle_terms, st.integers(0, 1), st.integers(-1, 40), st.integers(1, 6))
+def test_error_table_equals_fraction_oracle_on_random_forms(raw, j, n0, count):
+    f = normalize(raw)
+    assume(not f.is_zero and dominant(f)[0] > 0)
+    try:
+        approx = sqrt_approximation(f, j)
+    except ResourceLimitError:
+        assume(False)
+    for bits in (None, 1, 2, 4, 8):
+        _assert_table_matches_oracle(approx, range(n0, n0 + count), bits)
 
 
 def test_expansion_rejects_bad_inputs():
