@@ -615,6 +615,83 @@ def test_golden_matrix(capsys, argv, code, out_sha, err_sha):
     assert (got_code, _digest(out), _digest(err)) == (code, out_sha, err_sha), (out, err)
 
 
+# Help, usage and argparse errors, as (argv, exit code, stdout sha, stderr
+# sha) under COLUMNS=80: -h and --help at the top, at every command group
+# and at every runnable command; no command, unknown commands and
+# subcommands; unrecognized arguments after a valid command; a bad type,
+# bad choices and a missing required option; "--" placement; an option
+# before the command; and an option abbreviation.  Taken from the CLI while
+# every call built the whole parser tree.
+ARGPARSE_GOLDEN = [
+    ('-h', 0, "39e4f77346d99a55", "e3b0c44298fc1c14"),
+    ('--help', 0, "39e4f77346d99a55", "e3b0c44298fc1c14"),
+    ('cf -h', 0, "df26583f9610352c", "e3b0c44298fc1c14"),
+    ('cf --help', 0, "df26583f9610352c", "e3b0c44298fc1c14"),
+    ('pell -h', 0, "7c007ccb83489f10", "e3b0c44298fc1c14"),
+    ('pell --help', 0, "7c007ccb83489f10", "e3b0c44298fc1c14"),
+    ('growth -h', 0, "b76dfb6618e97b82", "e3b0c44298fc1c14"),
+    ('growth --help', 0, "b76dfb6618e97b82", "e3b0c44298fc1c14"),
+    ('profile -h', 0, "737a7c449485a605", "e3b0c44298fc1c14"),
+    ('profile --help', 0, "737a7c449485a605", "e3b0c44298fc1c14"),
+    ('hypothesis -h', 0, "35ce07bdd91bc738", "e3b0c44298fc1c14"),
+    ('hypothesis --help', 0, "35ce07bdd91bc738", "e3b0c44298fc1c14"),
+    ('expand -h', 0, "c9641f907024c86b", "e3b0c44298fc1c14"),
+    ('expand --help', 0, "c9641f907024c86b", "e3b0c44298fc1c14"),
+    ('cf sqrt -h', 0, "896dbb442bbc7aff", "e3b0c44298fc1c14"),
+    ('cf sqrt --help', 0, "896dbb442bbc7aff", "e3b0c44298fc1c14"),
+    ('cf period -h', 0, "28aa42acf87fd9b0", "e3b0c44298fc1c14"),
+    ('cf period --help', 0, "28aa42acf87fd9b0", "e3b0c44298fc1c14"),
+    ('cf pell -h', 0, "e84ef9398d9804b4", "e3b0c44298fc1c14"),
+    ('cf pell --help', 0, "e84ef9398d9804b4", "e3b0c44298fc1c14"),
+    ('pell scan -h', 0, "654cd876e725998d", "e3b0c44298fc1c14"),
+    ('pell scan --help', 0, "654cd876e725998d", "e3b0c44298fc1c14"),
+    ('growth denom -h', 0, "99ee7afe33f24c65", "e3b0c44298fc1c14"),
+    ('growth denom --help', 0, "99ee7afe33f24c65", "e3b0c44298fc1c14"),
+    ('profile pq -h', 0, "cff398a9009fc04e", "e3b0c44298fc1c14"),
+    ('profile pq --help', 0, "cff398a9009fc04e", "e3b0c44298fc1c14"),
+    ('hypothesis check -h', 0, "0f4282508ab8d35b", "e3b0c44298fc1c14"),
+    ('hypothesis check --help', 0, "0f4282508ab8d35b", "e3b0c44298fc1c14"),
+    ('expand sqrt -h', 0, "2daf36e4eb037d80", "e3b0c44298fc1c14"),
+    ('expand sqrt --help', 0, "2daf36e4eb037d80", "e3b0c44298fc1c14"),
+    ('family -h', 0, "804e5980c77fe0a8", "e3b0c44298fc1c14"),
+    ('family --help', 0, "804e5980c77fe0a8", "e3b0c44298fc1c14"),
+    ('identities -h', 0, "c59e561d8bf806f6", "e3b0c44298fc1c14"),
+    ('identities --help', 0, "c59e561d8bf806f6", "e3b0c44298fc1c14"),
+    ('', 2, "e3b0c44298fc1c14", "bd67faa8c590c03a"),
+    ('bogus', 2, "e3b0c44298fc1c14", "3ce853df8af44a13"),
+    ('cf', 2, "e3b0c44298fc1c14", "82936bded1a304e3"),
+    ('cf bogus', 2, "e3b0c44298fc1c14", "358deaf8c85b3056"),
+    ('cf sqrt 5 --bogus', 2, "e3b0c44298fc1c14", "98ac4f4d08f22426"),
+    ('identities --n-max 3 --jobs 7', 2, "e3b0c44298fc1c14", "23d7ed95da14b2f4"),
+    ('cf sqrt x', 2, "e3b0c44298fc1c14", "51fb479c20de7cad"),
+    ("expand sqrt --form '4^n + 1' --j 2 --n-range 1..2", 2, "e3b0c44298fc1c14", "28944ac3e798a303"),
+    ('cf sqrt 5 --format xml', 2, "e3b0c44298fc1c14", "b2cd6363b5abec60"),
+    ('hypothesis check', 2, "e3b0c44298fc1c14", "eb8a0d06db18a02c"),
+    ('cf sqrt -- 5', 0, "5f4149018b1083dd", "e3b0c44298fc1c14"),
+    ('cf -- sqrt 5', 2, "e3b0c44298fc1c14", "f7cf50be1e1f05de"),
+    ('--format csv cf sqrt 5', 2, "e3b0c44298fc1c14", "b2471ab1b639fa55"),
+    ('cf sqrt 129 --word 3', 0, "ddb1684ebce5ea4f", "e3b0c44298fc1c14"),
+]
+
+
+def run_exit(capsys, argv):
+    """``run`` for argv that may end in argparse's SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", ARGPARSE_GOLDEN,
+                         ids=[case[0] or "(none)" for case in ARGPARSE_GOLDEN])
+def test_argparse_golden(capsys, monkeypatch, argv, code, out_sha, err_sha):
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, out, err = run_exit(capsys, shlex.split(argv))
+    assert (got_code, _digest(out), _digest(err)) == (code, out_sha, err_sha), (out, err)
+
+
 def test_output_integers_have_no_str_digit_limit(capsys):
     # D = 4^34000 + 1 has 20,471 digits; its least Y is 1, well inside a
     # 1-digit budget, so the row must print whatever the budget.
