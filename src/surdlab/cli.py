@@ -3,7 +3,9 @@
 Subcommands: cf, pell, growth, profile, hypothesis, expand, family,
 identities.  Exit codes: 0 success, 1 identity-check failure,
 2 invalid input, 3 resource cap hit (fatal caps always; soft caps only
-under --strict).
+under --strict).  ``main`` builds the argparse parser of the one command
+that argv names, and the full tree (``build_parser``) only for help and
+errors above that command or for arguments that command does not take.
 """
 
 from __future__ import annotations
@@ -60,13 +62,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "csv", "json"), default=None,
-                        help="output format (default: text for cf, hypothesis and "
-                        "identities, csv otherwise)")
-    common.add_argument("--out", default=None, help="write output to FILE instead of stdout")
-    return common
+# Options every runnable command offers.
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("text", "csv", "json"), default=None,
+                   help="output format (default: text for cf, hypothesis and "
+                   "identities, csv otherwise)")
+    p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
 
 # Options offered only by the subcommands that read them.
@@ -85,31 +86,23 @@ def _add_strict(p: argparse.ArgumentParser) -> None:
                    help="exit 3 when any resource cap was hit")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
-    parser = argparse.ArgumentParser(
-        prog="surdlab",
-        description="Exact continued fractions of sqrt(D), Pell equations and "
-        "power-sum family experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cf = sub.add_parser("cf", help="continued fraction of sqrt(D)")
-    cf_sub = cf.add_subparsers(dest="cf_command", required=True)
-    p = cf_sub.add_parser("sqrt", parents=[common], help="a0, period word and r")
+# The flags of each runnable command, after the common ones.
+def _cf_sqrt_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("D", type=int)
     _add_word_cap(p, "longest period word kept in memory; a longer one is elided")
     _add_strict(p)
-    p = cf_sub.add_parser("period", parents=[common], help="period length and bound ratio")
+
+
+def _cf_period_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("D", type=int)
-    p = cf_sub.add_parser("pell", parents=[common], help="fundamental Pell solution")
+
+
+def _cf_pell_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("D", type=int)
     _add_digit_budget(p)
 
-    pell = sub.add_parser("pell", help="bounded Pell-type solution scans")
-    pell_sub = pell.add_subparsers(dest="pell_command", required=True)
-    p = pell_sub.add_parser("scan", parents=[common],
-                            help="solutions of |X^2 - D Y^2| < C")
+
+def _pell_scan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--form", help="family f(n); scans D = f(n) over --n")
     p.add_argument("--D", type=int, help="single D instead of a family")
     p.add_argument("--C", type=int, required=True)
@@ -123,36 +116,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_digit_budget(p)
     _add_strict(p)
 
-    growth = sub.add_parser("growth", help="growth statistics along a family")
-    growth_sub = growth.add_subparsers(dest="growth_command", required=True)
-    p = growth_sub.add_parser("denom", parents=[common],
-                              help="exact denominators of f(n)/b^n")
+
+def _growth_denom_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--form", required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", required=True)
 
-    profile = sub.add_parser("profile", help="partial-quotient profiles")
-    profile_sub = profile.add_subparsers(dest="profile_command", required=True)
-    p = profile_sub.add_parser("pq", parents=[common],
-                               help="max partial quotient while q_j < exp(c*n)")
+
+def _profile_pq_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--form", required=True)
     p.add_argument("--n", required=True)
     p.add_argument("--c", type=float, required=True)
 
-    hyp = sub.add_parser("hypothesis", help="square-decomposition hypothesis")
-    hyp_sub = hyp.add_subparsers(dest="hypothesis_command", required=True)
-    p = hyp_sub.add_parser("check", parents=[common], help="decide and show witnesses")
+
+def _hypothesis_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--form", required=True)
 
-    exp = sub.add_parser("expand", help="truncated square-root expansions")
-    exp_sub = exp.add_subparsers(dest="expand_command", required=True)
-    p = exp_sub.add_parser("sqrt", parents=[common], help="certified error table")
+
+def _expand_sqrt_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--form", required=True)
     p.add_argument("--j", type=int, choices=(0, 1), required=True)
     p.add_argument("--n-range", required=True)
 
-    p = sub.add_parser("family", parents=[common],
-                       help="period records for D = f(n) over an n range")
+
+def _family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(harness.PRESETS))
     p.add_argument("--form")
     p.add_argument("--n", help="n range a..b")
@@ -164,11 +151,88 @@ def build_parser() -> argparse.ArgumentParser:
                   "null and the word-cap note (rows keep no word in memory)")
     _add_strict(p)
 
-    p = sub.add_parser("identities", parents=[common],
-                       help="verify the constant-period identity families")
+
+def _identities_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, default=10)
 
+
+# command -> (help, flags) for a runnable command, or
+# command -> (help, {subcommand: (help, flags)}) for a group.  The one
+# definition of the command line: build_parser() builds all of it, main()
+# only the command that argv names.
+_COMMANDS = {
+    "cf": ("continued fraction of sqrt(D)", {
+        "sqrt": ("a0, period word and r", _cf_sqrt_flags),
+        "period": ("period length and bound ratio", _cf_period_flags),
+        "pell": ("fundamental Pell solution", _cf_pell_flags),
+    }),
+    "pell": ("bounded Pell-type solution scans", {
+        "scan": ("solutions of |X^2 - D Y^2| < C", _pell_scan_flags),
+    }),
+    "growth": ("growth statistics along a family", {
+        "denom": ("exact denominators of f(n)/b^n", _growth_denom_flags),
+    }),
+    "profile": ("partial-quotient profiles", {
+        "pq": ("max partial quotient while q_j < exp(c*n)", _profile_pq_flags),
+    }),
+    "hypothesis": ("square-decomposition hypothesis", {
+        "check": ("decide and show witnesses", _hypothesis_check_flags),
+    }),
+    "expand": ("truncated square-root expansions", {
+        "sqrt": ("certified error table", _expand_sqrt_flags),
+    }),
+    "family": ("period records for D = f(n) over an n range", _family_flags),
+    "identities": ("verify the constant-period identity families", _identities_flags),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="surdlab",
+        description="Exact continued fractions of sqrt(D), Pell equations and "
+        "power-sum family experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, spec) in _COMMANDS.items():
+        if callable(spec):
+            leaves = [(sub.add_parser(command, help=help_text), spec)]
+        else:
+            group = sub.add_parser(command, help=help_text).add_subparsers(
+                dest=f"{command}_command", required=True)
+            leaves = [(group.add_parser(name, help=leaf_help), flags)
+                      for name, (leaf_help, flags) in spec.items()]
+        for p, flags in leaves:
+            _add_common(p)
+            flags(p)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building one command's parser if it can.
+
+    When argv starts with a runnable command, only that command's parser is
+    built; it prints that command's help and errors itself.  Argv that names
+    no runnable command, or that the command's parser leaves partly
+    unrecognized, goes to the full tree, which prints the help, usage and
+    errors of the levels above.
+    """
+    spec, names = _COMMANDS, []
+    for name in argv[:2]:
+        if not isinstance(spec, dict) or name not in spec:
+            break
+        spec = spec[name][1]
+        names.append(name)
+    if callable(spec):
+        parser = argparse.ArgumentParser(prog=" ".join(["surdlab", *names]))
+        _add_common(parser)
+        spec(parser)
+        args, extras = parser.parse_known_args(argv[len(names):])
+        if not extras:
+            args.command = names[0]
+            if len(names) == 2:
+                setattr(args, f"{names[0]}_command", names[1])
+            return args
+    return build_parser().parse_args(argv)
 
 
 class _Output:
@@ -440,8 +504,7 @@ def _run_identities(args, out: _Output) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     # Large output integers are bounded by the digit budget and the scans'
     # caps where those apply, never by the interpreter's str() limit.
     sys.set_int_max_str_digits(0)

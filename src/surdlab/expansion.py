@@ -255,8 +255,11 @@ def error_table(
     ``f1(n)/B**(k*n)`` is ``S/(M*B**(k*n))`` with ``S`` an integer, so every
     endpoint is an integer over ``den = q*lq*M*B**(k*n) << bits`` and no
     row takes a big gcd.  ``bits`` forces the precision of every row; by
-    default it is ``max(96, int(n*log2(error_base)) + 96)``.
+    default it is ``max(96, int(n*log2(error_base)) + 96)``.  A range that
+    reaches a negative n is refused before any row, single-term forms too.
     """
+    if n_range and min(n_range[0], n_range[-1]) < 0:
+        raise ValueError("evaluation at negative n is not defined")
     if approx.is_single_term:
         return [(n, ((0, 1), (0, 1)), None) for n in n_range]
     L, source, source_bases = _integer_terms(approx.source)
@@ -267,8 +270,6 @@ def error_table(
     rows: list[tuple[int, Bounds, Bounds | None]] = []
     prev = None
     for n in n_range:
-        if n < 0:
-            raise ValueError("evaluation at negative n is not defined")
         if prev is not None and n == prev[0] + 1:
             powers = [w * b for w, b in zip(powers, bases)]
         else:

@@ -89,11 +89,11 @@ def interval_error(approx, n: int, bits: int | None = None) -> Interval:
     computed independently of its integer kernel: every endpoint is a
     reduced Fraction and every step an ``Interval`` operation.
     """
+    value = eval_exact(approx.source, n)  # refuses negative n
     if approx.is_single_term:
         return Interval(Fraction(0), Fraction(0))
     if bits is None:
         bits = max(96, int(n * math.log2(float(approx.error_base))) + 96)
-    value = eval_exact(approx.source, n)
     if value < 0:
         raise ValueError(f"source({n}) = {value} is negative")
     return abs(sqrt_interval(value, bits) - interval_approx_value(approx, n, bits))

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import surdlab
+import surdlab.cli as cli
 import surdlab.harness as harness
 from surdlab.cli import main
 
@@ -690,6 +691,79 @@ def test_argparse_golden(capsys, monkeypatch, argv, code, out_sha, err_sha):
     monkeypatch.setenv("COLUMNS", "80")
     got_code, out, err = run_exit(capsys, shlex.split(argv))
     assert (got_code, _digest(out), _digest(err)) == (code, out_sha, err_sha), (out, err)
+
+
+def _parsed(capsys, parse, argv):
+    """``vars`` of the namespace, or argparse's exit code, stdout and stderr."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [case[0] for case in GOLDEN_MATRIX + ARGPARSE_GOLDEN])
+def test_one_command_parse_equals_full_tree(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = shlex.split(argv)
+    full = _parsed(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+    assert _parsed(capsys, cli._parse_args, argv) == full
+
+
+RUNNABLE = ["cf sqrt", "cf period", "cf pell", "pell scan", "growth denom", "profile pq",
+            "hypothesis check", "expand sqrt", "family", "identities"]
+# ARGPARSE_GOLDEN argv that a runnable command's own parser answers whole.
+ONE_PARSER_ARGV = [f"{command} {flag}" for command in RUNNABLE for flag in ("-h", "--help")] + [
+    "cf sqrt x",
+    "expand sqrt --form '4^n + 1' --j 2 --n-range 1..2",
+    "cf sqrt 5 --format xml",
+    "hypothesis check",
+    "cf sqrt -- 5",
+    "cf sqrt 129 --word 3",
+]
+
+
+ARGPARSE_BY_ARGV = {case[0]: case for case in ARGPARSE_GOLDEN}
+ONE_PARSER_CASES = ([case for case in GOLDEN_MATRIX if case[1] == 0]
+                    + [ARGPARSE_BY_ARGV[argv] for argv in ONE_PARSER_ARGV])
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", ONE_PARSER_CASES,
+                         ids=[case[0] for case in ONE_PARSER_CASES])
+def test_runnable_commands_never_build_the_full_tree(capsys, monkeypatch, argv, code,
+                                                      out_sha, err_sha):
+    def full_tree():
+        raise AssertionError("the full parser tree was built")
+
+    monkeypatch.setattr(cli, "build_parser", full_tree)
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, out, err = run_exit(capsys, shlex.split(argv))
+    assert (got_code, _digest(out), _digest(err)) == (code, out_sha, err_sha), (out, err)
+
+
+def test_main_reads_sys_argv(capsys):
+    code, out, err = run(capsys, "cf", "sqrt", "129")
+    proc = _python("-m", "surdlab.cli", "cf", "sqrt", "129")
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+
+
+def test_main_reads_sys_argv_unrecognized_arguments(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["cf", "sqrt", "129", "--bogus"]
+    proc = _python("-m", "surdlab.cli", *argv)
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout.decode(), err) == run_exit(capsys, argv)
+    assert proc.returncode == 2
+    assert err.startswith("usage: surdlab [-h]\n")
+    assert "{cf,pell,growth,profile,hypothesis,expand,family,identities}" in err
+    assert err.endswith("surdlab: error: unrecognized arguments: --bogus\n")
+
+
+def test_expand_single_term_form_refuses_negative_n(capsys):
+    # As multi-term forms do: the header line, then the error, and no rows.
+    assert run(capsys, "expand", "sqrt", "--form", "5^n", "--j", "0", "--n-range=-2..1") == (
+        2, "", "# f1 = 0, k = 1, lead = 1, error_base = None\n"
+        "error: evaluation at negative n is not defined\n")
 
 
 def test_output_integers_have_no_str_digit_limit(capsys):

@@ -238,6 +238,11 @@ def test_error_table_negative_inputs_fail_as_the_oracle_does():
     with pytest.raises(ValueError, match="negative n is not defined"):
         error_table(sqrt_approximation(TITLE, 0), range(-1, 3))
     _assert_table_matches_oracle(sqrt_approximation(TITLE, 0), range(-1, 3))
+    single = sqrt_approximation(parse_form("5^n"), 0)
+    assert single.is_single_term
+    with pytest.raises(ValueError, match="negative n is not defined"):
+        error_table(single, range(-2, 2))
+    _assert_table_matches_oracle(single, range(-2, 2))
 
 
 _oracle_terms = st.lists(
