@@ -2,81 +2,15 @@
 
 Everything computes with exact integer/rational arithmetic; floating
 point appears only in observational statistics, and every reported
-inequality that matters is certified through interval arithmetic with
-exact endpoints.
+inequality that matters is certified with exact integer bounds.
+
+The names here are the ones the README documents; everything else is
+imported from its module (``surdlab.forms``, ``surdlab.surd``, ...).
 """
 
-from .forms import (
-    FormClass,
-    FormSyntaxError,
-    PowerSumForm,
-    ZERO,
-    add,
-    classify,
-    compose_affine,
-    constant,
-    dominant,
-    dominant_ratio,
-    eval_exact,
-    eval_int,
-    format_form,
-    monomial,
-    mul,
-    normalize,
-    parse_form,
-    scale,
-)
-from .intervals import Interval, sqrt_interval
-from .surd import (
-    CFExpansion,
-    Convergent,
-    PellSolution,
-    ResourceLimitError,
-    SquareInputError,
-    cf_sqrt,
-    cf_stream,
-    convergents,
-    fundamental_pell,
-    is_perfect_square,
-    isqrt,
-    pell_value_stream,
-    period_bound_ratio,
-    period_length,
-)
-from .expansion import (
-    FAILS,
-    HOLDS,
-    HOLDS_TRIVIALLY,
-    HypothesisReport,
-    HypothesisWitness,
-    SqrtApprox,
-    decide_hypothesis,
-    error_table,
-    growth_exponent,
-    sqrt_approximation,
-    trivial_criterion,
-)
-from .growth import (
-    GrowthRecord,
-    MinSolutionGrowth,
-    PartialQuotientProfile,
-    PellQuery,
-    PellScan,
-    bounded_pell_solutions,
-    denominator_growth,
-    least_squares_slope,
-    min_solution_growth,
-    partial_quotient_profile,
-)
-from .harness import (
-    ExperimentConfig,
-    FamilyRecord,
-    IdentityReport,
-    emit,
-    preset_config,
-    run_family,
-    run_identity_checks,
-    suffix_min_periods,
-)
+from .forms import eval_int, parse_form
+from .surd import cf_sqrt, cf_stream, fundamental_pell, pell_value_stream, period_length
+from .expansion import decide_hypothesis, sqrt_approximation
+from .growth import min_solution_growth
 
 __version__ = "0.1.0"

@@ -6,6 +6,9 @@ identities.  Exit codes: 0 success, 1 identity-check failure,
 under --strict).  ``main`` builds the argparse parser of the one command
 that argv names, and the full tree (``build_parser``) only for help and
 errors above that command or for arguments that command does not take.
+It then calls the run function that ``_COMMANDS`` holds beside the
+command's flags, and writes the output it collected once, to --out or
+stdout.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .expansion import (
 )
 from .forms import FormSyntaxError, eval_int, format_form, parse_form
 from .growth import (
-    PellQuery,
     bounded_pell_solutions,
     denominator_growth,
     min_solution_growth,
@@ -156,102 +158,6 @@ def _identities_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, default=10)
 
 
-# command -> (help, flags) for a runnable command, or
-# command -> (help, {subcommand: (help, flags)}) for a group.  The one
-# definition of the command line: build_parser() builds all of it, main()
-# only the command that argv names.
-_COMMANDS = {
-    "cf": ("continued fraction of sqrt(D)", {
-        "sqrt": ("a0, period word and r", _cf_sqrt_flags),
-        "period": ("period length and bound ratio", _cf_period_flags),
-        "pell": ("fundamental Pell solution", _cf_pell_flags),
-    }),
-    "pell": ("bounded Pell-type solution scans", {
-        "scan": ("solutions of |X^2 - D Y^2| < C", _pell_scan_flags),
-    }),
-    "growth": ("growth statistics along a family", {
-        "denom": ("exact denominators of f(n)/b^n", _growth_denom_flags),
-    }),
-    "profile": ("partial-quotient profiles", {
-        "pq": ("max partial quotient while q_j < exp(c*n)", _profile_pq_flags),
-    }),
-    "hypothesis": ("square-decomposition hypothesis", {
-        "check": ("decide and show witnesses", _hypothesis_check_flags),
-    }),
-    "expand": ("truncated square-root expansions", {
-        "sqrt": ("certified error table", _expand_sqrt_flags),
-    }),
-    "family": ("period records for D = f(n) over an n range", _family_flags),
-    "identities": ("verify the constant-period identity families", _identities_flags),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="surdlab",
-        description="Exact continued fractions of sqrt(D), Pell equations and "
-        "power-sum family experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, spec) in _COMMANDS.items():
-        if callable(spec):
-            leaves = [(sub.add_parser(command, help=help_text), spec)]
-        else:
-            group = sub.add_parser(command, help=help_text).add_subparsers(
-                dest=f"{command}_command", required=True)
-            leaves = [(group.add_parser(name, help=leaf_help), flags)
-                      for name, (leaf_help, flags) in spec.items()]
-        for p, flags in leaves:
-            _add_common(p)
-            flags(p)
-    return parser
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building one command's parser if it can.
-
-    When argv starts with a runnable command, only that command's parser is
-    built; it prints that command's help and errors itself.  Argv that names
-    no runnable command, or that the command's parser leaves partly
-    unrecognized, goes to the full tree, which prints the help, usage and
-    errors of the levels above.
-    """
-    spec, names = _COMMANDS, []
-    for name in argv[:2]:
-        if not isinstance(spec, dict) or name not in spec:
-            break
-        spec = spec[name][1]
-        names.append(name)
-    if callable(spec):
-        parser = argparse.ArgumentParser(prog=" ".join(["surdlab", *names]))
-        _add_common(parser)
-        spec(parser)
-        args, extras = parser.parse_known_args(argv[len(names):])
-        if not extras:
-            args.command = names[0]
-            if len(names) == 2:
-                setattr(args, f"{names[0]}_command", names[1])
-            return args
-    return build_parser().parse_args(argv)
-
-
-class _Output:
-    def __init__(self, path: str | None):
-        self.path = path
-        self.chunks: list[str] = []
-
-    def write(self, text: str) -> None:
-        self.chunks.append(text)
-
-    def flush(self) -> None:
-        data = "".join(self.chunks)
-        if self.path:
-            with open(self.path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(data)
-        else:
-            sys.stdout.write(data)
-
-
 def _format(args, *formats: str) -> str:
     """The requested --format when the command offers it, else its first.
 
@@ -266,55 +172,56 @@ def _record(fmt: str, columns, values) -> str:
     return harness.emit_table(columns, [values], fmt, wrap=lambda objects: objects[0])
 
 
-def _run_cf(args, out: _Output) -> int:
+def _run_cf_sqrt(args, out: list[str]) -> int:
     fmt = _format(args, "text", "csv", "json")
-    if args.cf_command == "sqrt":
-        exp = cf_sqrt(args.D, word_cap=args.word_cap)
-        word = " ".join(map(str, exp.period or ()))
-        if fmt == "json":
-            period = None if exp.period is None else list(exp.period)
-        elif fmt == "csv":
-            period = f'"{word}"'
-        else:
-            period = word or "(elided)"
-        out.write(_record(fmt, ("D", "a0", "r", "period"), (exp.D, exp.a0, exp.r, period)))
-        if args.strict and exp.period is None:
-            return 3
-        return 0
-    if args.cf_command == "period":
-        r = period_length(args.D)
-        label = "r / (sqrt(D) ln D)" if fmt == "text" else "bound_ratio"
-        out.write(_record(fmt, ("D", "r", label),
-                          (args.D, r, period_bound_ratio(args.D, r))))
-        return 0
-    if args.cf_command == "pell":
-        sol = fundamental_pell(args.D)
-        # Before any decimal conversion, which would cost more than the
-        # solution itself.
-        if sol.X.bit_length() > _digit_budget_bits(args.digit_budget):
-            raise ResourceLimitError(
-                f"X for D={args.D} has {sol.X.bit_length()} bits, "
-                f"over the {args.digit_budget}-digit budget"
-            )
-        columns, values = ("D", "X", "Y", "value"), (args.D, sol.X, sol.Y, sol.value)
-        if fmt == "text":
-            columns, values = columns[1:], values[1:]
-        out.write(_record(fmt, columns, values))
-        return 0
-    raise AssertionError
+    exp = cf_sqrt(args.D, word_cap=args.word_cap)
+    word = " ".join(map(str, exp.period or ()))
+    if fmt == "json":
+        period = None if exp.period is None else list(exp.period)
+    elif fmt == "csv":
+        period = f'"{word}"'
+    else:
+        period = word or "(elided)"
+    out.append(_record(fmt, ("D", "a0", "r", "period"), (exp.D, exp.a0, exp.r, period)))
+    if args.strict and exp.period is None:
+        return 3
+    return 0
 
 
-def _run_pell_scan(args, out: _Output) -> int:
+def _run_cf_period(args, out: list[str]) -> int:
+    fmt = _format(args, "text", "csv", "json")
+    r = period_length(args.D)
+    label = "r / (sqrt(D) ln D)" if fmt == "text" else "bound_ratio"
+    out.append(_record(fmt, ("D", "r", label),
+                       (args.D, r, period_bound_ratio(args.D, r))))
+    return 0
+
+
+def _run_cf_pell(args, out: list[str]) -> int:
+    fmt = _format(args, "text", "csv", "json")
+    sol = fundamental_pell(args.D)
+    # Before any decimal conversion, which would cost more than the
+    # solution itself.
+    if sol.X.bit_length() > _digit_budget_bits(args.digit_budget):
+        raise ResourceLimitError(
+            f"X for D={args.D} has {sol.X.bit_length()} bits, "
+            f"over the {args.digit_budget}-digit budget"
+        )
+    columns, values = ("D", "X", "Y", "value"), (args.D, sol.X, sol.Y, sol.value)
+    if fmt == "text":
+        columns, values = columns[1:], values[1:]
+    out.append(_record(fmt, columns, values))
+    return 0
+
+
+def _run_pell_scan(args, out: list[str]) -> int:
     if (args.D is None) == (args.form is None):
         raise ValueError("pell scan needs exactly one of --D or --form")
     fmt = _format(args, "csv", "json")
     scan_y_limit = args.y_limit if args.y_limit is not None else 10**12
     if args.D is not None:
-        scan = bounded_pell_solutions(
-            PellQuery(args.D, args.C, y_limit=scan_y_limit,
-                      digit_budget=args.digit_budget)
-        )
-        out.write(harness.emit_table(
+        scan = bounded_pell_solutions(args.D, args.C, scan_y_limit, args.digit_budget)
+        out.append(harness.emit_table(
             ("X", "Y", "value"), [(s.X, s.Y, s.value) for s in scan.solutions], fmt,
             wrap=lambda solutions: {"D": args.D, "C": args.C, "complete": scan.complete,
                                     "solutions": solutions},
@@ -335,26 +242,22 @@ def _run_pell_scan(args, out: _Output) -> int:
             if D <= 0 or is_perfect_square(D):
                 print(f"# n={n} skipped", file=sys.stderr)
                 continue
-            scan = bounded_pell_solutions(
-                PellQuery(D, args.C, y_limit=scan_y_limit,
-                          digit_budget=args.digit_budget)
-            )
+            scan = bounded_pell_solutions(D, args.C, scan_y_limit, args.digit_budget)
             rows += [(n, D, s.X, s.Y, s.value) for s in scan.solutions]
-        out.write(harness.emit_table(("n", "D", "X", "Y", "value"), rows, fmt))
+        out.append(harness.emit_table(("n", "D", "X", "Y", "value"), rows, fmt))
         return 0
     result = min_solution_growth(
         form, args.C, n_range,
         y_limit=args.y_limit, digit_budget=args.digit_budget,
     )
-    out.write(harness.emit_table(
+    out.append(harness.emit_table(
         ("n", "D", "Y_min", "value", "log_Y_min"),
         [(rec.n, rec.metadata["D"], rec.metadata["Y"], rec.metadata["value"], rec.statistic)
          for rec in result.records],
         fmt, indent=2,
         wrap=lambda records: {
             "slope": result.slope,
-            "hypothesis_holds": None if result.hypothesis is None
-            else result.hypothesis.holds,
+            "hypothesis_holds": result.hypothesis.holds,
             "records": records,
             "skipped": [{"n": n, "reason": reason} for n, reason in result.skipped],
         },
@@ -364,7 +267,7 @@ def _run_pell_scan(args, out: _Output) -> int:
     if result.slope is not None:
         print(f"# least-squares slope of log Y_min: {result.slope:.6f}",
               file=sys.stderr)
-    if result.hypothesis is not None and not result.hypothesis.holds:
+    if not result.hypothesis.holds:
         print("# warning: the square-decomposition hypothesis fails for this form",
               file=sys.stderr)
     if args.strict and any(reason == "cap" for _, reason in result.skipped):
@@ -372,10 +275,10 @@ def _run_pell_scan(args, out: _Output) -> int:
     return 0
 
 
-def _run_growth_denom(args, out: _Output) -> int:
+def _run_growth_denom(args, out: list[str]) -> int:
     form = parse_form(args.form)
     records = denominator_growth(form, args.b, _parse_n_range(args.n))
-    out.write(harness.emit_table(
+    out.append(harness.emit_table(
         ("n", "denominator", "log_denominator", "flagged"),
         [(r.n, r.metadata["denominator"], r.statistic, r.flagged) for r in records],
         _format(args, "csv", "json"), indent=2,
@@ -383,7 +286,7 @@ def _run_growth_denom(args, out: _Output) -> int:
     return 0
 
 
-def _run_profile_pq(args, out: _Output) -> int:
+def _run_profile_pq(args, out: list[str]) -> int:
     form = parse_form(args.form)
     fmt = _format(args, "csv", "json")
     columns = ["n", "D", "prefix_len", "max_partial_quotient"]
@@ -403,11 +306,11 @@ def _run_profile_pq(args, out: _Output) -> int:
         else:
             ends = [min(exps, default=None), max(exps, default=None)]
         rows.append((prof.n, prof.D, prof.prefix_length, prof.max_partial_quotient, *ends))
-    out.write(harness.emit_table(columns, rows, fmt, indent=2))
+    out.append(harness.emit_table(columns, rows, fmt, indent=2))
     return 0
 
 
-def _run_hypothesis(args, out: _Output) -> int:
+def _run_hypothesis(args, out: list[str]) -> int:
     form = parse_form(args.form)
     report = decide_hypothesis(form)
     fmt = _format(args, "text", "json")
@@ -427,11 +330,11 @@ def _run_hypothesis(args, out: _Output) -> int:
                   *(f"h = {format_form(w.root)}, g = {format_form(w.remainder)}"
                     for w in report.witnesses),
                   *report.warnings]
-    out.write(_record(fmt, columns, values))
+    out.append(_record(fmt, columns, values))
     return 0
 
 
-def _run_expand(args, out: _Output) -> int:
+def _run_expand(args, out: list[str]) -> int:
     form = parse_form(args.form)
     approx = sqrt_approximation(form, args.j)
     print(
@@ -448,7 +351,7 @@ def _run_expand(args, out: _Output) -> int:
             errors = [f"{e:.6e}" for e in errors]
             decays = [None if d is None else f"{d:.4f}" for d in decays]
         rows.append((n, *errors, *decays))
-    out.write(harness.emit_table(
+    out.append(harness.emit_table(
         ("n", "error_low", "error_high", "decay_low", "decay_high"), rows, fmt, indent=2,
         wrap=lambda objects: {
             "f1": format_form(approx.series_form),
@@ -461,7 +364,7 @@ def _run_expand(args, out: _Output) -> int:
     return 0
 
 
-def _run_family(args, out: _Output) -> int:
+def _run_family(args, out: list[str]) -> int:
     if (args.preset is None) == (args.form is None):
         raise ValueError("family needs exactly one of --preset or --form")
     kwargs = dict(word_cap=args.word_cap, jobs=args.jobs)
@@ -481,7 +384,7 @@ def _run_family(args, out: _Output) -> int:
             parse_form(args.form), n_range.start, n_range[-1], **kwargs
         )
     records = harness.run_family(config)
-    out.write(harness.emit(records, _format(args, "csv", "json")).decode("utf-8"))
+    out.append(harness.emit(records, _format(args, "csv", "json")).decode("utf-8"))
     if args.summary:
         for n, rmin in harness.suffix_min_periods(records):
             print(f"# suffix-min r from n={n}: {rmin}", file=sys.stderr)
@@ -490,17 +393,100 @@ def _run_family(args, out: _Output) -> int:
     return 0
 
 
-def _run_identities(args, out: _Output) -> int:
+def _run_identities(args, out: list[str]) -> int:
     report = harness.run_identity_checks(n_max=args.n_max)
     fmt = _format(args, "text", "json")
     if fmt == "json":
-        out.write(_record(fmt, ("checks", "failures", "ok"),
-                          (report.checks, list(report.failures), report.ok)))
+        out.append(_record(fmt, ("checks", "failures", "ok"),
+                           (report.checks, list(report.failures), report.ok)))
     else:
-        out.write(_record(fmt, ("identity checks", "failures"),
-                          (report.checks, len(report.failures))))
-        out.write("".join(f"  {failure}\n" for failure in report.failures))
+        out.append(_record(fmt, ("identity checks", "failures"),
+                           (report.checks, len(report.failures))))
+        out.append("".join(f"  {failure}\n" for failure in report.failures))
     return 0 if report.ok else 1
+
+
+# command -> (help, (flags, run)) for a runnable command, or
+# command -> (help, {subcommand: (help, (flags, run))}) for a group.  The one
+# definition of the command line: build_parser() builds all of it, main()
+# only the command that argv names, and main() calls that command's run.
+_COMMANDS = {
+    "cf": ("continued fraction of sqrt(D)", {
+        "sqrt": ("a0, period word and r", (_cf_sqrt_flags, _run_cf_sqrt)),
+        "period": ("period length and bound ratio", (_cf_period_flags, _run_cf_period)),
+        "pell": ("fundamental Pell solution", (_cf_pell_flags, _run_cf_pell)),
+    }),
+    "pell": ("bounded Pell-type solution scans", {
+        "scan": ("solutions of |X^2 - D Y^2| < C", (_pell_scan_flags, _run_pell_scan)),
+    }),
+    "growth": ("growth statistics along a family", {
+        "denom": ("exact denominators of f(n)/b^n", (_growth_denom_flags, _run_growth_denom)),
+    }),
+    "profile": ("partial-quotient profiles", {
+        "pq": ("max partial quotient while q_j < exp(c*n)",
+               (_profile_pq_flags, _run_profile_pq)),
+    }),
+    "hypothesis": ("square-decomposition hypothesis", {
+        "check": ("decide and show witnesses", (_hypothesis_check_flags, _run_hypothesis)),
+    }),
+    "expand": ("truncated square-root expansions", {
+        "sqrt": ("certified error table", (_expand_sqrt_flags, _run_expand)),
+    }),
+    "family": ("period records for D = f(n) over an n range",
+               (_family_flags, _run_family)),
+    "identities": ("verify the constant-period identity families",
+                   (_identities_flags, _run_identities)),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="surdlab",
+        description="Exact continued fractions of sqrt(D), Pell equations and "
+        "power-sum family experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, spec) in _COMMANDS.items():
+        if isinstance(spec, tuple):
+            leaves = [(sub.add_parser(command, help=help_text), spec)]
+        else:
+            group = sub.add_parser(command, help=help_text).add_subparsers(
+                dest=f"{command}_command", required=True)
+            leaves = [(group.add_parser(name, help=leaf_help), leaf)
+                      for name, (leaf_help, leaf) in spec.items()]
+        for p, (flags, _) in leaves:
+            _add_common(p)
+            flags(p)
+    return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building one command's parser if it can.
+
+    When argv starts with a runnable command, only that command's parser is
+    built; it prints that command's help and errors itself.  Argv that names
+    no runnable command, or that the command's parser leaves partly
+    unrecognized, goes to the full tree, which prints the help, usage and
+    errors of the levels above.
+    """
+    spec, names = _COMMANDS, []
+    for name in argv[:2]:
+        if not isinstance(spec, dict) or name not in spec:
+            break
+        spec = spec[name][1]
+        names.append(name)
+    if isinstance(spec, tuple):
+        flags, _ = spec
+        parser = argparse.ArgumentParser(prog=" ".join(["surdlab", *names]))
+        _add_common(parser)
+        flags(parser)
+        args, extras = parser.parse_known_args(argv[len(names):])
+        if not extras:
+            args.command = names[0]
+            if len(names) == 2:
+                setattr(args, f"{names[0]}_command", names[1])
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -508,26 +494,13 @@ def main(argv: list[str] | None = None) -> int:
     # Large output integers are bounded by the digit budget and the scans'
     # caps where those apply, never by the interpreter's str() limit.
     sys.set_int_max_str_digits(0)
-    out = _Output(getattr(args, "out", None))
+    spec = _COMMANDS[args.command][1]
+    if isinstance(spec, dict):
+        spec = spec[getattr(args, f"{args.command}_command")][1]
+    _, run = spec
+    out: list[str] = []
     try:
-        if args.command == "cf":
-            code = _run_cf(args, out)
-        elif args.command == "pell":
-            code = _run_pell_scan(args, out)
-        elif args.command == "growth":
-            code = _run_growth_denom(args, out)
-        elif args.command == "profile":
-            code = _run_profile_pq(args, out)
-        elif args.command == "hypothesis":
-            code = _run_hypothesis(args, out)
-        elif args.command == "expand":
-            code = _run_expand(args, out)
-        elif args.command == "family":
-            code = _run_family(args, out)
-        elif args.command == "identities":
-            code = _run_identities(args, out)
-        else:
-            raise AssertionError(args.command)
+        code = run(args, out)
     except (FormSyntaxError, SquareInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -537,7 +510,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out.flush()
+    data = "".join(out)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(data)
+    else:
+        sys.stdout.write(data)
     return code
 
 

@@ -36,14 +36,11 @@ from .forms import (
     compose_affine,
     dominant,
     dominant_ratio,
-    eval_exact,
-    monomial,
     mul,
     normalize,
     relative_tail,
     scale,
 )
-from .intervals import Interval
 from .surd import ResourceLimitError
 
 HOLDS = "holds"
@@ -68,10 +65,6 @@ def sqrt_rational(x: Fraction) -> Fraction | None:
     if sp * sp == p and sq * sq == q:
         return Fraction(sp, sq)
     return None
-
-
-def is_square_rational(x: Fraction) -> bool:
-    return sqrt_rational(x) is not None
 
 
 def _floor_log_ratio(x: Fraction, base: Fraction) -> int:
@@ -134,10 +127,11 @@ def _binomial_sqrt_series(
 class SqrtApprox:
     """Truncated square-root expansion of a power-sum form.
 
-    The approximation of ``sqrt(source(n))`` is
-    ``sqrt(lead_coefficient) * series_form(n) / lead_base**((depth-1/2)*n)``.
+    With ``B`` the leading base of ``source``, the approximation of
+    ``sqrt(source(n))`` is
+    ``sqrt(lead_coefficient) * series_form(n) / B**((depth-1/2)*n)``.
     ``series_form`` is the zero form for single-term sources (the root is
-    then exactly ``sqrt(lead_coefficient * lead_base**n)``), and
+    then exactly ``sqrt(lead_coefficient * B**n)``), and
     ``error_base`` is None in that case; otherwise the error at ``n`` is
     O(``error_base**-n``).
     """
@@ -147,10 +141,6 @@ class SqrtApprox:
     series_form: PowerSumForm
     depth: int
     error_base: Fraction | None
-
-    @property
-    def lead_base(self) -> Fraction:
-        return dominant(self.source)[1]
 
     @property
     def is_single_term(self) -> bool:
@@ -176,7 +166,7 @@ def sqrt_approximation(
     a1, b1 = dominant(f)
     if a1 <= 0:
         raise ValueError("leading coefficient must be positive")
-    if j == 0 and is_square_rational(b1):
+    if j == 0 and sqrt_rational(b1) is not None:
         source = f
     else:
         source = compose_affine(f, j)
@@ -205,19 +195,6 @@ def sqrt_approximation(
     if classify(source).integral_bases and not classify(f1).integral_bases:
         raise AssertionError("series form must have integer bases")
     return SqrtApprox(source, lead, f1, depth, root_base * ratio)
-
-
-def algebraic_residual(approx: SqrtApprox) -> PowerSumForm:
-    """Exact defect ``lead_base**((2k-1)n) * source - lead * series**2``.
-
-    Its dominant base is strictly below ``lead_base**(2k-1) * lead_base``,
-    which is the exact-form counterpart of the squared error bound.
-    """
-    base = approx.lead_base
-    k = approx.depth
-    lhs = mul(monomial(1, base ** (2 * k - 1)), approx.source)
-    rhs = scale(mul(approx.series_form, approx.series_form), approx.lead_coefficient)
-    return add(lhs, scale(rhs, -1))
 
 
 # A certified bound ``lo <= x <= hi`` as two exact integer ratios,
@@ -311,17 +288,6 @@ def error_table(
     return rows
 
 
-def error_interval(approx: SqrtApprox, n: int, bits: int | None = None) -> Interval:
-    """Certified enclosure of ``|sqrt(source(n)) - approximation(n)|``.
-
-    Row ``n`` of ``error_table``, ``[lo/den, hi/den]``, as reduced
-    fractions.  For single-term sources the representation is exact, so
-    the error is the zero interval.
-    """
-    ((_, bounds, _),) = error_table(approx, range(n, n + 1), bits)
-    return Interval(*(Fraction(num, den) for num, den in bounds))
-
-
 # ---------------------------------------------------------------------------
 # Square-decomposition hypothesis
 # ---------------------------------------------------------------------------
@@ -363,7 +329,7 @@ def trivial_criterion(f: PowerSumForm) -> bool:
     a1, b1 = dominant(f)
     if a1 <= 0:
         raise ValueError("leading coefficient must be positive")
-    return not is_square_rational(a1) and not is_square_rational(a1 * b1)
+    return sqrt_rational(a1) is None and sqrt_rational(a1 * b1) is None
 
 
 def _extract_root(F: PowerSumForm) -> PowerSumForm | None:
@@ -507,18 +473,11 @@ def _log_ratio(u: Fraction, v: Fraction) -> Fraction | float:
     return math.log(u) / math.log(v)
 
 
-def growth_exponent(
-    g: PowerSumForm,
-    f: PowerSumForm,
-    n_range: range | None = None,
-    tolerance: float = 0.1,
-) -> Fraction | float:
+def growth_exponent(g: PowerSumForm, f: PowerSumForm) -> Fraction | float:
     """Growth exponent of ``g`` relative to ``f``: log of dominant bases.
 
     Exact (a Fraction) when the two bases are multiplicatively
-    dependent, a float otherwise; -inf for the zero form.  When
-    ``n_range`` is given the structural value is cross-checked against
-    the measured slope ``log|g(n)| / log f(n)`` at the top of the range.
+    dependent, a float otherwise; -inf for the zero form.
     """
     if g.is_zero:
         return float("-inf")
@@ -526,15 +485,4 @@ def growth_exponent(
     if v <= 1:
         raise ValueError("reference form must have dominant base > 1")
     u = dominant(g)[1]
-    exact = _log_ratio(u, v)
-    if n_range is not None:
-        n = max(n_range)
-        gval, fval = abs(eval_exact(g, n)), abs(eval_exact(f, n))
-        if gval > 0 and fval > 1:
-            measured = math.log(gval) / math.log(fval)
-            if abs(measured - float(exact)) > tolerance:
-                raise ValueError(
-                    f"measured slope {measured:.4f} disagrees with exact "
-                    f"exponent {float(exact):.4f} at n={n}"
-                )
-    return exact
+    return _log_ratio(u, v)

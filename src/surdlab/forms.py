@@ -59,44 +59,11 @@ class PowerSumForm:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, scale(_coerce(other), -1))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), scale(self, -1))
-
-    def __mul__(self, other):
-        if isinstance(other, PowerSumForm):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1)
-
-    def __call__(self, n: int) -> Fraction:
-        return eval_exact(self, n)
-
     def __str__(self) -> str:
         return format_form(self)
 
 
 ZERO = PowerSumForm()
-
-
-def _coerce(x) -> PowerSumForm:
-    if isinstance(x, PowerSumForm):
-        return x
-    return constant(x)
 
 
 def normalize(raw_terms: Iterable[tuple]) -> PowerSumForm:

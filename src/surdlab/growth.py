@@ -22,6 +22,7 @@ from .forms import PowerSumForm, classify, eval_exact, eval_int
 from .surd import (
     DEFAULT_DIGIT_BUDGET,
     PellSolution,
+    ResourceLimitError,
     _digit_budget_bits,
     _least_convergent_below,
     is_perfect_square,
@@ -39,36 +40,20 @@ def _check_box(C: int, y_limit: int | None) -> None:
 
 
 @dataclass(frozen=True)
-class PellQuery:
-    """Search box for |X**2 - D*Y**2| < C with Y bounded.
-
-    ``y_limit`` of None means "bounded by the digit budget".  The scan is
-    complete (provably finds every solution) only when C <= sqrt(D); for
-    larger C the result still comes back but flagged incomplete.
-    """
-
-    D: int
-    C: int
-    y_limit: int | None = None
-    digit_budget: int = DEFAULT_DIGIT_BUDGET
-
-    def __post_init__(self) -> None:
-        _check_box(self.C, self.y_limit)
-
-    @property
-    def complete(self) -> bool:
-        return self.C * self.C <= self.D
-
-
-@dataclass(frozen=True)
 class PellScan:
-    query: PellQuery
     solutions: tuple[PellSolution, ...]
     complete: bool
 
 
-def bounded_pell_solutions(query: PellQuery) -> PellScan:
+def bounded_pell_solutions(
+    D: int, C: int, y_limit: int | None = None, digit_budget: int = DEFAULT_DIGIT_BUDGET
+) -> PellScan:
     """All (X, Y) with |X**2 - D*Y**2| < C and Y within the search box.
+
+    The box bounds Y by ``y_limit`` (None: by the digit budget alone).  C
+    or ``y_limit`` below 1 raises ValueError.  The scan is complete
+    (provably finds every solution) only when C <= sqrt(D); for larger C
+    the result still comes back but flagged incomplete.
 
     Solutions in lowest terms are convergents of sqrt(D) (classical, for
     C <= sqrt(D)); non-coprime solutions are integer multiples g*(p, q)
@@ -76,12 +61,11 @@ def bounded_pell_solutions(query: PellQuery) -> PellScan:
     Sorted by Y ascending.  Every returned solution is re-verified
     against its defining equation.
     """
-    D, C = query.D, query.C
-    y_max = query.y_limit
-    bits_cap = _digit_budget_bits(query.digit_budget)
+    _check_box(C, y_limit)
+    bits_cap = _digit_budget_bits(digit_budget)
 
     def past_cap(y: int) -> bool:
-        return (y_max is not None and y > y_max) or y.bit_length() > bits_cap
+        return (y_limit is not None and y > y_limit) or y.bit_length() > bits_cap
 
     out: list[PellSolution] = []
     for _, p, q, value, _ in pell_value_stream(D):
@@ -95,7 +79,7 @@ def bounded_pell_solutions(query: PellQuery) -> PellScan:
             out.append(PellSolution(X, Y, v))
             g += 1
     out.sort(key=lambda s: s.Y)
-    return PellScan(query, tuple(out), query.complete)
+    return PellScan(tuple(out), C * C <= D)
 
 
 @dataclass(frozen=True)
@@ -124,7 +108,7 @@ class MinSolutionGrowth:
     records: tuple[GrowthRecord, ...]
     skipped: tuple[tuple[int, str], ...]
     slope: float | None
-    hypothesis: HypothesisReport | None
+    hypothesis: HypothesisReport
 
 
 def min_solution_growth(
@@ -133,7 +117,6 @@ def min_solution_growth(
     n_range: range,
     y_limit: int | None = None,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
-    check_hypothesis: bool = True,
 ) -> MinSolutionGrowth:
     """Least Y with |X**2 - f(n)*Y**2| < C, for each n in the range.
 
@@ -145,11 +128,11 @@ def min_solution_growth(
     Values of n where f(n) is a perfect square are skipped with a note
     (the square root is rational there, so there is nothing to measure).
     The least-squares slope of log(Y_min) over n is the empirical growth
-    rate.  When the square-decomposition hypothesis fails for ``f`` the
-    records are still reported; the attached report carries the flag.
+    rate.  The square-decomposition hypothesis is decided for ``f`` and
+    the report attached; when it fails the records are still reported.
     """
     _check_box(C, y_limit)
-    report = decide_hypothesis(f) if check_hypothesis else None
+    report = decide_hypothesis(f)
     # Y is within the y-limit and the digit budget iff Y <= y_max.
     y_max = (1 << _digit_budget_bits(digit_budget)) - 1
     if y_limit is not None:
@@ -230,13 +213,17 @@ class PartialQuotientProfile:
 
 
 def partial_quotient_profile(
-    f: PowerSumForm, n: int, c: float, max_steps: int = 10**6
+    f: PowerSumForm, n: int, c: float
 ) -> PartialQuotientProfile | None:
     """Profile sqrt(f(n)) while convergent denominators stay below exp(c*n).
 
     Returns None when f(n) is a perfect square (skipped).  Purely
     observational: the exponents are floats derived from exact integers,
     with |sqrt(D) - p/q| = |p**2 - D*q**2| / (q*(sqrt(D)*q + p)).
+
+    Raises ``ResourceLimitError`` before the walk when exp(c*n) has more
+    than ``DEFAULT_DIGIT_BUDGET`` digits.  Below that the walk is bounded:
+    q_j >= phi**(j - 1) stops it within about 2.08*c*n steps.
     """
     if not c > 0:
         raise ValueError(f"invalid c={c}: must be positive")
@@ -246,11 +233,15 @@ def partial_quotient_profile(
     if is_perfect_square(D):
         return None
     bound = c * n
+    if bound > DEFAULT_DIGIT_BUDGET * math.log(10):
+        raise ResourceLimitError(
+            f"exp({c}*{n}) has over {DEFAULT_DIGIT_BUDGET} digits (the digit budget)"
+        )
     a0 = isqrt(D)
     max_a = 0
     exponents: list[float] = []
     for steps, p, q, value, a in pell_value_stream(D):
-        if steps >= max_steps or not math.log(q) < bound:
+        if not math.log(q) < bound:
             break
         max_a = max(max_a, a)
         if q > 1:

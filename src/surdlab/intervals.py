@@ -81,21 +81,3 @@ def sqrt_interval(x: Fraction | int, bits: int) -> Interval:
     den = q << bits
     return Interval(Fraction(s, den), Fraction(s + 1, den))
 
-
-def certify_below(value_at, bound: Fraction, start_bits: int = 32, max_bits: int = 1 << 20) -> bool:
-    """Certify ``value < bound`` by refining an interval enclosure.
-
-    ``value_at(bits)`` must return an ``Interval`` that shrinks as
-    ``bits`` grows.  Returns True/False once the comparison is decided;
-    raises if the precision cap is hit (the comparison is then presumed
-    to be an exact tie, which the callers here never produce).
-    """
-    bits = start_bits
-    while bits <= max_bits:
-        iv = value_at(bits)
-        if iv.hi < bound:
-            return True
-        if iv.lo >= bound:
-            return False
-        bits *= 2
-    raise ArithmeticError("comparison undecided at precision cap")

@@ -196,10 +196,8 @@ def period_length(D: int) -> int:
     return _midpoint_walk(D)[1]
 
 
-def period_bound_ratio(D: int, r: int | None = None) -> float:
-    """Observed ratio r / (sqrt(D) * ln(D)) for growth reporting."""
-    if r is None:
-        r = period_length(D)
+def period_bound_ratio(D: int, r: int) -> float:
+    """Observed ratio r / (sqrt(D) * ln(D)) of the period length r of sqrt(D)."""
     return r / (math.sqrt(D) * math.log(D))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from surdlab.forms import eval_exact
+from surdlab.forms import add, dominant, eval_exact, monomial, mul, scale
 from surdlab.intervals import Interval, sqrt_interval
 from surdlab.surd import PellSolution, isqrt
 
@@ -72,9 +72,27 @@ def plain_min_solution(D: int, C: int, y_limit: int | None, bits_cap: int
         sign = -sign
 
 
+def lead_base(approx):
+    """The leading base ``B`` of ``approx.source``."""
+    return dominant(approx.source)[1]
+
+
+def algebraic_residual(approx):
+    """Exact defect ``B**((2k-1)n) * source - lead * series**2`` as a form.
+
+    Its dominant base is strictly below ``B**(2k-1) * B``, which is the
+    exact-form counterpart of the squared error bound.
+    """
+    base = lead_base(approx)
+    k = approx.depth
+    lhs = mul(monomial(1, base ** (2 * k - 1)), approx.source)
+    rhs = scale(mul(approx.series_form, approx.series_form), approx.lead_coefficient)
+    return add(lhs, scale(rhs, -1))
+
+
 def interval_approx_value(approx, n: int, bits: int) -> Interval:
     """Enclosure of ``sqrt(lead*B**n) * f1(n) / B**(k*n)`` in reduced Fractions."""
-    lead, base = approx.lead_coefficient, approx.lead_base
+    lead, base = approx.lead_coefficient, lead_base(approx)
     root = sqrt_interval(lead * base**n, bits)
     if approx.is_single_term:
         return root

@@ -28,7 +28,6 @@ from surdlab.expansion import (
 )
 from surdlab.forms import add, mul, parse_form
 from surdlab.growth import (
-    PellQuery,
     bounded_pell_solutions,
     denominator_growth,
     min_solution_growth,
@@ -185,7 +184,7 @@ def test_acceptance_6_pell_oracle_equivalence():
         c_max = isqrt(D)
         oracle = brute_force_pell(D, c_max, y_limit)
         for C in range(1, c_max + 1):
-            got = bounded_pell_solutions(PellQuery(D, C, y_limit=y_limit))
+            got = bounded_pell_solutions(D, C, y_limit=y_limit)
             expected = [s for s in oracle if abs(s.value) < C]
             assert [(s.X, s.Y, s.value) for s in got.solutions] == [
                 (s.X, s.Y, s.value) for s in sorted(expected, key=lambda s: (s.Y, s.X))

@@ -366,6 +366,15 @@ def test_profile_pq_golden_bytes(capsys):
     assert out == PROFILE_PQ_GOLDEN
 
 
+@pytest.mark.parametrize("c", ["inf", "1e308"])
+def test_profile_pq_past_the_digit_budget_exits_3(capsys, c):
+    # exp(c*n) has over DEFAULT_DIGIT_BUDGET digits: refused before the walk.
+    code, out, err = run(capsys, "profile", "pq", "--form", "2*4^n + 1", "--n", "2..2",
+                         "--c", c)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: ")
+
+
 def test_family_title_json_golden_bytes(capsys):
     code, out, _ = run(
         capsys, "family", "--preset", "title", "--n", "1..6", "--format", "json"
@@ -783,8 +792,9 @@ def _python(*args, **kwargs):
                           timeout=60, **kwargs)
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    proc = _python("-c", "import sys, surdlab.cli; print('multiprocessing' in sys.modules)")
+@pytest.mark.parametrize("module", ["multiprocessing", "surdlab.intervals"])
+def test_cli_import_leaves_multiprocessing_out(module):
+    proc = _python("-c", f"import sys, surdlab.cli; print({module!r} in sys.modules)")
     assert proc.stdout == b"False\n", proc.stderr
 
 

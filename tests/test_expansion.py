@@ -17,9 +17,7 @@ from surdlab.expansion import (
     FAILS,
     HOLDS,
     HOLDS_TRIVIALLY,
-    algebraic_residual,
     decide_hypothesis,
-    error_interval,
     error_table,
     growth_exponent,
     sqrt_approximation,
@@ -41,7 +39,13 @@ from surdlab.forms import (
 )
 from surdlab.surd import ResourceLimitError
 
-from oracles import interval_approx_value, interval_error, interval_error_table
+from oracles import (
+    algebraic_residual,
+    interval_approx_value,
+    interval_error,
+    interval_error_table,
+    lead_base,
+)
 
 F = Fraction
 TITLE = parse_form("2*4^n + 1")
@@ -115,7 +119,7 @@ def test_algebraic_residual_bound():
     for form in (TITLE, parse_form("8^n + 2^n"), parse_form("9^n + 2*3^n + 2")):
         approx = sqrt_approximation(form, 0)
         residual = algebraic_residual(approx)
-        base = approx.lead_base
+        base = lead_base(approx)
         k = approx.depth
         assert not residual.is_zero
         top = dominant(residual)[1]
@@ -135,8 +139,7 @@ def test_single_term_form_is_exact():
     assert approx.depth == 1
     assert approx.error_base is None
     assert approx.is_single_term
-    err = error_interval(approx, 4, bits=64)
-    assert err.lo == err.hi == 0
+    assert _error_row(approx, 4, bits=64) == [0, 0]
     value = interval_approx_value(approx, 3, bits=64)
     assert value.lo <= 125 <= value.hi  # sqrt(25^3) = 125
 
@@ -158,11 +161,11 @@ def test_composed_expansion_upper_bound():
     assert approx.source == parse_form("64^n + 4^n")
     assert approx.depth == 2
     assert approx.error_base == 8 * 16
-    first = error_interval(approx, 2)
-    scale_const = first.hi * approx.error_base**2
+    _, first_hi = _error_row(approx, 2)
+    scale_const = first_hi * approx.error_base**2
     for n in range(3, 10):
-        err = error_interval(approx, n)
-        assert err.hi < scale_const / approx.error_base**n
+        _, hi = _error_row(approx, n)
+        assert hi < scale_const / approx.error_base**n
 
 
 # --- certified error tables against the Fraction oracle -------------------
@@ -170,6 +173,12 @@ def test_composed_expansion_upper_bound():
 
 def _as_fractions(bounds):
     return None if bounds is None else [F(num, den) for num, den in bounds]
+
+
+def _error_row(approx, n, bits=None):
+    """The error bounds of row ``n`` of ``error_table``, as Fractions."""
+    ((_, err, _),) = error_table(approx, range(n, n + 1), bits)
+    return _as_fractions(err)
 
 
 def _assert_table_matches_oracle(approx, n_range, bits=None):
@@ -197,7 +206,8 @@ def _assert_table_matches_oracle(approx, n_range, bits=None):
             assert [num / den for num, den in decay] == [float(x) for x in want_decay]
     if rows:
         n = rows[0][0]
-        assert error_interval(approx, n, bits) == interval_error(approx, n, bits)
+        want_err = interval_error(approx, n, bits)
+        assert _error_row(approx, n, bits) == [want_err.lo, want_err.hi]
     return rows
 
 
@@ -495,17 +505,6 @@ def test_growth_exponent_exactness_types():
     assert got == F(3, 2) and isinstance(got, Fraction)
     got = growth_exponent(parse_form("3^n"), parse_form("2^n"))
     assert isinstance(got, float) and 1.5 < got < 1.7
-
-
-def test_growth_exponent_crosscheck():
-    f = parse_form("16^n + 4^n + 1")
-    assert growth_exponent(constant(F(3, 4)), f, n_range=range(2, 21)) == 0
-    # A deliberately tiny tolerance trips the cross-check.
-    with pytest.raises(ValueError, match="disagrees"):
-        growth_exponent(
-            scale(parse_form("4^n"), 1000000), f,
-            n_range=range(2, 6), tolerance=1e-9,
-        )
 
 
 def test_growth_exponent_requires_growing_reference():

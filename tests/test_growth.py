@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from surdlab import surd
 from surdlab.forms import normalize, parse_form
 from surdlab.growth import (
-    PellQuery,
     bounded_pell_solutions,
     denominator_growth,
     least_squares_slope,
@@ -38,31 +37,31 @@ def _tuples(solutions):
 
 
 def test_scan_d33_c2():
-    scan = bounded_pell_solutions(PellQuery(33, 2, y_limit=10))
+    scan = bounded_pell_solutions(33, 2, y_limit=10)
     assert _tuples(scan.solutions) == [(23, 4, 1)]
     assert scan.complete
 
 
 def test_scan_d33_c4():
-    scan = bounded_pell_solutions(PellQuery(33, 4, y_limit=10))
+    scan = bounded_pell_solutions(33, 4, y_limit=10)
     assert _tuples(scan.solutions) == [(6, 1, 3), (23, 4, 1)]
     assert scan.complete
 
 
 def test_scan_d2_c2():
-    scan = bounded_pell_solutions(PellQuery(2, 2, y_limit=5))
+    scan = bounded_pell_solutions(2, 2, y_limit=5)
     assert _tuples(scan.solutions) == [(1, 1, -1), (3, 2, 1), (7, 5, -1)]
     assert not scan.complete  # C = 2 exceeds sqrt(2): flagged, still correct here
 
 
 def test_scan_incompleteness_flag():
-    assert not bounded_pell_solutions(PellQuery(33, 6, y_limit=5)).complete
-    assert bounded_pell_solutions(PellQuery(33, 5, y_limit=5)).complete
+    assert not bounded_pell_solutions(33, 6, y_limit=5).complete
+    assert bounded_pell_solutions(33, 5, y_limit=5).complete
 
 
 def test_scan_emits_non_coprime_multiples():
     # (10, 2) = 2*(5, 1) has value -4 with |−4| < 5 <= sqrt(26).
-    scan = bounded_pell_solutions(PellQuery(26, 5, y_limit=25))
+    scan = bounded_pell_solutions(26, 5, y_limit=25)
     assert _tuples(scan.solutions) == [
         (5, 1, -1),
         (10, 2, -4),
@@ -73,11 +72,11 @@ def test_scan_emits_non_coprime_multiples():
 
 def test_scan_rejects_bad_queries():
     with pytest.raises(ValueError):
-        PellQuery(33, 0)
+        bounded_pell_solutions(33, 0)
     with pytest.raises(ValueError):
-        PellQuery(33, 2, y_limit=0)
+        bounded_pell_solutions(33, 2, y_limit=0)
     with pytest.raises(SquareInputError):
-        bounded_pell_solutions(PellQuery(36, 2, y_limit=5))
+        bounded_pell_solutions(36, 2, y_limit=5)
 
 
 def test_scan_matches_brute_force_small():
@@ -89,7 +88,7 @@ def test_scan_matches_brute_force_small():
         for C in {1, 2, c_max}:
             if C * C > D:
                 continue  # completeness is only promised for C <= sqrt(D)
-            got = bounded_pell_solutions(PellQuery(D, C, y_limit=60)).solutions
+            got = bounded_pell_solutions(D, C, y_limit=60).solutions
             expected = [s for s in oracle_all if abs(s.value) < C]
             assert sorted(_tuples(got)) == sorted(_tuples(expected)), (D, C)
 
@@ -167,7 +166,7 @@ def test_least_convergent_matches_per_step_oracle_below_20000():
 @pytest.mark.parametrize("C", [2, 3, 17])
 def test_min_solution_growth_matches_oracle_on_title_family(C):
     bits = _digit_budget_bits(DEFAULT_DIGIT_BUDGET)
-    result = min_solution_growth(TITLE, C, range(2, 17), check_hypothesis=False)
+    result = min_solution_growth(TITLE, C, range(2, 17))
     assert result.skipped == ()
     for rec in result.records:
         want = plain_min_solution(rec.metadata["D"], C, None, bits)
@@ -179,8 +178,7 @@ def test_min_solution_growth_matches_oracle_on_title_family(C):
 def test_min_solution_growth_matches_oracle_under_digit_caps(budget):
     # The benchmark's capped scan: n = 17 is over every one of these budgets.
     bits = _digit_budget_bits(budget)
-    result = min_solution_growth(TITLE, 2, range(10, 18), digit_budget=budget,
-                                 check_hypothesis=False)
+    result = min_solution_growth(TITLE, 2, range(10, 18), digit_budget=budget)
     assert (17, "cap") in result.skipped
     by_n = {rec.n: rec for rec in result.records}
     for n in range(10, 18):
@@ -277,6 +275,6 @@ def test_partial_quotient_profile_exponents_near_two():
 def test_scan_brute_force_property(D, C):
     if is_perfect_square(D) or C * C > D:
         return
-    got = bounded_pell_solutions(PellQuery(D, C, y_limit=50)).solutions
+    got = bounded_pell_solutions(D, C, y_limit=50).solutions
     expected = brute_force_pell(D, C, 50)
     assert sorted(_tuples(got)) == sorted(_tuples(expected))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from surdlab.intervals import Interval, certify_below, sqrt_interval
+from surdlab.intervals import Interval, sqrt_interval
 
 F = Fraction
 
@@ -58,12 +58,6 @@ def test_comparisons():
     iv = sqrt_interval(2, 64)
     assert iv.certainly_below(F(3, 2))
     assert iv.certainly_above(F(7, 5))
-
-
-def test_certify_below_refines():
-    # sqrt(2) < 1.4142136 needs more than a couple of bits.
-    assert certify_below(lambda b: sqrt_interval(2, b), F(14142136, 10**7), 4)
-    assert not certify_below(lambda b: sqrt_interval(2, b), F(14142135, 10**7), 4)
 
 
 @given(

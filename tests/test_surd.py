@@ -163,7 +163,7 @@ def test_period_length_examples():
 
 def test_period_bound_ratio_stays_bounded():
     ratios = {
-        D: period_bound_ratio(D)
+        D: period_bound_ratio(D, period_length(D))
         for D in range(2, 3000)
         if not is_perfect_square(D)
     }
