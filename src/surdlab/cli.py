@@ -252,8 +252,7 @@ def _run_pell_scan(args, out: list[str]) -> int:
     )
     out.append(harness.emit_table(
         ("n", "D", "Y_min", "value", "log_Y_min"),
-        [(rec.n, rec.metadata["D"], rec.metadata["Y"], rec.metadata["value"], rec.statistic)
-         for rec in result.records],
+        [(rec.n, rec.D, rec.Y, rec.value, rec.log_Y) for rec in result.records],
         fmt, indent=2,
         wrap=lambda records: {
             "slope": result.slope,
@@ -279,8 +278,7 @@ def _run_growth_denom(args, out: list[str]) -> int:
     form = parse_form(args.form)
     records = denominator_growth(form, args.b, _parse_n_range(args.n))
     out.append(harness.emit_table(
-        ("n", "denominator", "log_denominator", "flagged"),
-        [(r.n, r.metadata["denominator"], r.statistic, r.flagged) for r in records],
+        ("n", "denominator", "log_denominator", "flagged"), records,
         _format(args, "csv", "json"), indent=2,
     ))
     return 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .forms import (
@@ -54,6 +54,8 @@ _DEPTH_CAP = 256
 # ResourceLimitError: with a tail of t terms the powers keep up to
 # ~depth**(t - 1) terms, all of them big fractions when the ratio is near 1.
 _PRODUCT_CAP = 4096
+# A Mersenne prime, the modulus of growth_exponent's quick rejection.
+_PRIME = (1 << 61) - 1
 
 
 def sqrt_rational(x: Fraction) -> Fraction | None:
@@ -89,10 +91,8 @@ def _floor_log_ratio(x: Fraction, base: Fraction) -> int:
 
 def _prune(f: PowerSumForm, threshold: Fraction, keep_equal: bool) -> PowerSumForm:
     if keep_equal:
-        kept = tuple(t for t in f.terms if t[1] >= threshold)
-    else:
-        kept = tuple(t for t in f.terms if t[1] > threshold)
-    return PowerSumForm(kept)
+        return PowerSumForm(t for t in f if t[1] >= threshold)
+    return PowerSumForm(t for t in f if t[1] > threshold)
 
 
 def _binomial_sqrt_series(
@@ -118,13 +118,13 @@ def _binomial_sqrt_series(
         power = _prune(mul(power, tail), threshold, keep_equal)
         if power.is_zero:
             break
-        for c, u in power.terms:
+        for c, u in power:
             acc[u] = acc.get(u, 0) + coef * c
     return _prune(normalize((c, u) for u, c in acc.items()), threshold, keep_equal)
 
 
-@dataclass(frozen=True)
-class SqrtApprox:
+class SqrtApprox(namedtuple("SqrtApprox",
+                            "source lead_coefficient series_form depth error_base")):
     """Truncated square-root expansion of a power-sum form.
 
     With ``B`` the leading base of ``source``, the approximation of
@@ -136,11 +136,7 @@ class SqrtApprox:
     O(``error_base**-n``).
     """
 
-    source: PowerSumForm
-    lead_coefficient: Fraction
-    series_form: PowerSumForm
-    depth: int
-    error_base: Fraction | None
+    __slots__ = ()
 
     @property
     def is_single_term(self) -> bool:
@@ -189,7 +185,7 @@ def sqrt_approximation(
         relative_tail(source), depth, threshold, keep_equal=False
     )
     scale_base = base**depth
-    f1 = normalize([(c, u * scale_base) for c, u in series.terms])
+    f1 = normalize([(c, u * scale_base) for c, u in series])
     if dominant(f1)[1] != scale_base:
         raise AssertionError("series form lost its leading term")
     if classify(source).integral_bases and not classify(f1).integral_bases:
@@ -207,9 +203,9 @@ def _integer_terms(f: PowerSumForm) -> tuple[int, list[int], list[int]]:
 
     ``L`` is the lcm of the coefficient denominators; bases must be integers.
     """
-    L = math.lcm(*(c.denominator for c, _ in f.terms))
-    return (L, [c.numerator * (L // c.denominator) for c, _ in f.terms],
-            [b.numerator for _, b in f.terms])
+    L = math.lcm(*(c.denominator for c, _ in f))
+    return (L, [c.numerator * (L // c.denominator) for c, _ in f],
+            [b.numerator for _, b in f])
 
 
 def error_table(
@@ -293,26 +289,17 @@ def error_table(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypothesisWitness:
-    """An exact decomposition ``f(2n + parity) = root(n)**2 + remainder(n)``.
-
-    ``remainder_exponent`` is the growth exponent of the remainder
-    relative to the composed form (-inf for a zero remainder); a witness
-    is only emitted when it is strictly below 1/2.
-    """
-
-    parity: int
-    root: PowerSumForm
-    remainder: PowerSumForm
-    remainder_exponent: Fraction | float
+# An exact decomposition ``f(2n + parity) = root(n)**2 + remainder(n)``.
+# ``remainder_exponent`` is the growth exponent of the remainder relative to
+# the composed form (-inf for a zero remainder); a witness is only emitted
+# when it is strictly below 1/2.
+HypothesisWitness = namedtuple("HypothesisWitness",
+                               "parity root remainder remainder_exponent")
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    verdict: str
-    witnesses: tuple[HypothesisWitness, ...] = ()
-    warnings: tuple[str, ...] = ()
+class HypothesisReport(namedtuple("HypothesisReport", "verdict witnesses warnings",
+                                  defaults=((), ()))):
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -355,7 +342,7 @@ def _extract_root(F: PowerSumForm) -> PowerSumForm | None:
         # largest bases of F) and a nonzero coefficient; every other series
         # term has a smaller base.  Kept with a non-integer base, it alone
         # rules the candidate out, so skip building the series.
-        first_tail_base = F.terms[1][1] / root_base
+        first_tail_base = F[1][1] / root_base
         if first_tail_base >= 1 and first_tail_base.denominator != 1:
             return None
         ratio = dominant_ratio(F)
@@ -368,8 +355,8 @@ def _extract_root(F: PowerSumForm) -> PowerSumForm | None:
         series = _binomial_sqrt_series(
             relative_tail(F), limit, 1 / root_base, keep_equal=True
         )
-    root = normalize([(root_lead * c, root_base * u) for c, u in series.terms])
-    if any(b.denominator != 1 for _, b in root.terms):
+    root = normalize([(root_lead * c, root_base * u) for c, u in series])
+    if any(b.denominator != 1 for _, b in root):
         return None
     return root
 
@@ -433,51 +420,19 @@ def decide_hypothesis(f: PowerSumForm) -> HypothesisReport:
 # ---------------------------------------------------------------------------
 
 
-def _factor(n: int, cap: int = 10**12) -> dict[int, int] | None:
-    """Trial-division factorization; None when ``n`` exceeds the cap."""
-    if n > cap:
-        return None
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _exponent_vector(x: Fraction) -> dict[int, int] | None:
-    num = _factor(x.numerator)
-    den = _factor(x.denominator)
-    if num is None or den is None:
-        return None
-    for p, e in den.items():
-        num[p] = num.get(p, 0) - e
-    return {p: e for p, e in num.items() if e != 0}
-
-
-def _log_ratio(u: Fraction, v: Fraction) -> Fraction | float:
-    """log(u)/log(v) as an exact Fraction when multiplicatively dependent,
-    else a float."""
-    if u == 1:
-        return Fraction(0)
-    eu, ev = _exponent_vector(u), _exponent_vector(v)
-    if eu is not None and ev is not None and ev:
-        p0, e0 = next(iter(ev.items()))
-        r = Fraction(eu.get(p0, 0), e0)
-        if set(eu) <= set(ev) and all(eu.get(p, 0) == r * e for p, e in ev.items()):
-            return r
-    return math.log(u) / math.log(v)
-
-
 def growth_exponent(g: PowerSumForm, f: PowerSumForm) -> Fraction | float:
     """Growth exponent of ``g`` relative to ``f``: log of dominant bases.
 
-    Exact (a Fraction) when the two bases are multiplicatively
-    dependent, a float otherwise; -inf for the zero form.
+    log(u)/log(v) for the dominant bases u of ``g`` and v of ``f``: exact
+    (a Fraction) when the two bases are multiplicatively dependent, at any
+    size, a float otherwise; -inf for the zero form.  Dependent bases have
+    u**q == v**p for the ratio p/q in lowest terms, so v = t**q with a
+    rational t != 1, and q is below the bit length of v's numerator times
+    its denominator.  The candidate is the fraction nearest to the float
+    ratio with a denominator that small, kept only when u**q == v**p
+    holds exactly.  Both sides are in lowest terms, so numerators and
+    denominators are compared apart, each modulo a prime first: bases
+    that are independent build no big power.
     """
     if g.is_zero:
         return float("-inf")
@@ -485,4 +440,13 @@ def growth_exponent(g: PowerSumForm, f: PowerSumForm) -> Fraction | float:
     if v <= 1:
         raise ValueError("reference form must have dominant base > 1")
     u = dominant(g)[1]
-    return _log_ratio(u, v)
+    if u == 1:
+        return Fraction(0)
+    ratio = math.log(u) / math.log(v)
+    exact = Fraction(ratio).limit_denominator((v.numerator * v.denominator).bit_length())
+    p, q = abs(exact.numerator), exact.denominator
+    w = v if exact >= 0 else 1 / v
+    if all(pow(x, q, _PRIME) == pow(y, p, _PRIME) and x**q == y**p
+           for x, y in ((u.numerator, w.numerator), (u.denominator, w.denominator))):
+        return exact
+    return ratio

@@ -9,9 +9,9 @@ at any non-negative integer ``n`` returns an exact rational.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 
 class FormSyntaxError(ValueError):
@@ -24,24 +24,26 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class PowerSumForm:
-    """A power-sum form in canonical shape.
+class PowerSumForm(tuple):
+    """A power-sum form in canonical shape: a tuple of its terms.
 
-    ``terms`` holds ``(coefficient, base)`` pairs with strictly decreasing
+    The items are ``(coefficient, base)`` pairs with strictly decreasing
     positive bases and no zero coefficients; the empty tuple is the zero
-    form.  Instances are immutable values: every operation returns a new
-    form, so they are safe to share between threads or processes.
+    form, and ``terms`` is the same pairs as a plain tuple.  Length,
+    truth, equality, hashing and pickling are the tuple's.  Instances are
+    immutable values: every operation returns a new form, so they are
+    safe to share between threads or processes.
 
     Build instances with :func:`normalize` (or the arithmetic helpers)
     rather than by hand.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, terms: Iterable[tuple[Fraction, Fraction]] = ()) -> PowerSumForm:
+        self = super().__new__(cls, terms)
         prev = None
-        for coef, base in self.terms:
+        for coef, base in self:
             if not isinstance(coef, Fraction) or not isinstance(base, Fraction):
                 raise TypeError("terms must be Fraction pairs; use normalize()")
             if base <= 0:
@@ -51,13 +53,15 @@ class PowerSumForm:
             if prev is not None and base >= prev:
                 raise ValueError("bases must be strictly decreasing")
             prev = base
+        return self
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(self)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
+        return not self
 
     def __str__(self) -> str:
         return format_form(self)
@@ -99,12 +103,12 @@ def constant(c) -> PowerSumForm:
 
 
 def add(f: PowerSumForm, g: PowerSumForm) -> PowerSumForm:
-    return normalize(f.terms + g.terms)
+    return normalize((*f, *g))
 
 
 def mul(f: PowerSumForm, g: PowerSumForm) -> PowerSumForm:
     return normalize(
-        [(ca * cb, ba * bb) for ca, ba in f.terms for cb, bb in g.terms]
+        [(ca * cb, ba * bb) for ca, ba in f for cb, bb in g]
     )
 
 
@@ -112,7 +116,7 @@ def scale(f: PowerSumForm, c) -> PowerSumForm:
     c = _frac(c)
     if c == 0:
         return ZERO
-    return PowerSumForm(tuple((coef * c, base) for coef, base in f.terms))
+    return PowerSumForm((coef * c, base) for coef, base in f)
 
 
 def compose_affine(f: PowerSumForm, j: int) -> PowerSumForm:
@@ -124,7 +128,7 @@ def compose_affine(f: PowerSumForm, j: int) -> PowerSumForm:
     """
     if j not in (0, 1):
         raise ValueError(f"invalid argument j={j}: must be 0 or 1")
-    return normalize([(coef * base**j, base * base) for coef, base in f.terms])
+    return normalize([(coef * base**j, base * base) for coef, base in f])
 
 
 def eval_exact(f: PowerSumForm, n: int) -> Fraction:
@@ -133,7 +137,7 @@ def eval_exact(f: PowerSumForm, n: int) -> Fraction:
         raise TypeError("n must be an integer")
     if n < 0:
         raise ValueError("evaluation at negative n is not defined")
-    return sum((coef * base**n for coef, base in f.terms), Fraction(0))
+    return sum((coef * base**n for coef, base in f), Fraction(0))
 
 
 def eval_int(f: PowerSumForm, n: int) -> int:
@@ -148,7 +152,7 @@ def dominant(f: PowerSumForm) -> tuple[Fraction, Fraction]:
     """Leading ``(coefficient, base)`` pair; errors on the zero form."""
     if f.is_zero:
         raise ValueError("zero form has no dominant term")
-    return f.terms[0]
+    return f[0]
 
 
 def dominant_ratio(f: PowerSumForm) -> Fraction | None:
@@ -159,9 +163,9 @@ def dominant_ratio(f: PowerSumForm) -> Fraction | None:
     """
     if f.is_zero:
         raise ValueError("zero form has no dominant term")
-    if len(f.terms) == 1:
+    if len(f) == 1:
         return None
-    return f.terms[0][1] / f.terms[1][1]
+    return f[0][1] / f[1][1]
 
 
 def relative_tail(f: PowerSumForm) -> PowerSumForm:
@@ -174,29 +178,19 @@ def relative_tail(f: PowerSumForm) -> PowerSumForm:
     a1, b1 = dominant(f)
     if a1 <= 0:
         raise ValueError("leading coefficient must be positive")
-    return PowerSumForm(
-        tuple((coef / a1, base / b1) for coef, base in f.terms[1:])
-    )
+    return PowerSumForm((coef / a1, base / b1) for coef, base in f[1:])
 
 
-@dataclass(frozen=True)
-class FormClass:
-    """Which ring a form inhabits.
-
-    ``integral_coefficients`` means integer coefficients *and* integer
-    bases (the fully integral ring); ``integral_bases`` alone admits
-    rational coefficients.
-    """
-
-    integral_bases: bool
-    integral_coefficients: bool
-    positive_leading: bool
+# Which ring a form inhabits.  ``integral_coefficients`` means integer
+# coefficients *and* integer bases (the fully integral ring);
+# ``integral_bases`` alone admits rational coefficients.
+FormClass = namedtuple("FormClass", "integral_bases integral_coefficients positive_leading")
 
 
 def classify(f: PowerSumForm) -> FormClass:
-    int_bases = all(base.denominator == 1 for _, base in f.terms)
-    int_coefs = int_bases and all(coef.denominator == 1 for coef, _ in f.terms)
-    positive = bool(f.terms) and f.terms[0][0] > 0
+    int_bases = all(base.denominator == 1 for _, base in f)
+    int_coefs = int_bases and all(coef.denominator == 1 for coef, _ in f)
+    positive = bool(f) and f[0][0] > 0
     return FormClass(int_bases, int_coefs, positive)
 
 
@@ -275,7 +269,7 @@ def format_form(f: PowerSumForm) -> str:
     if f.is_zero:
         return "0"
     parts: list[str] = []
-    for i, (coef, base) in enumerate(f.terms):
+    for i, (coef, base) in enumerate(f):
         mag = abs(coef)
         if base == 1:
             body = _fmt_rational(mag, parens=False)

@@ -15,7 +15,7 @@ convergent in their box, so they still go step by step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .forms import PowerSumForm, classify, eval_exact, eval_int
@@ -26,10 +26,9 @@ from .surd import (
     _digit_budget_bits,
     _least_convergent_below,
     is_perfect_square,
-    isqrt,
     pell_value_stream,
 )
-from .expansion import HypothesisReport, decide_hypothesis
+from .expansion import decide_hypothesis
 
 
 def _check_box(C: int, y_limit: int | None) -> None:
@@ -39,10 +38,7 @@ def _check_box(C: int, y_limit: int | None) -> None:
         raise ValueError("y_limit must be positive")
 
 
-@dataclass(frozen=True)
-class PellScan:
-    solutions: tuple[PellSolution, ...]
-    complete: bool
+PellScan = namedtuple("PellScan", "solutions complete")
 
 
 def bounded_pell_solutions(
@@ -82,16 +78,6 @@ def bounded_pell_solutions(
     return PellScan(tuple(out), C * C <= D)
 
 
-@dataclass(frozen=True)
-class GrowthRecord:
-    """One measured point: a log statistic backed by exact integers."""
-
-    n: int
-    statistic: float
-    metadata: dict[str, int] = field(default_factory=dict)
-    flagged: bool = False
-
-
 def least_squares_slope(points: list[tuple[int, float]]) -> float | None:
     if len(points) < 2:
         return None
@@ -103,12 +89,11 @@ def least_squares_slope(points: list[tuple[int, float]]) -> float | None:
     return sum((x - xbar) * (y - ybar) for x, y in points) / den
 
 
-@dataclass(frozen=True)
-class MinSolutionGrowth:
-    records: tuple[GrowthRecord, ...]
-    skipped: tuple[tuple[int, str], ...]
-    slope: float | None
-    hypothesis: HypothesisReport
+# One row of ``min_solution_growth``: the least solution of
+# |X**2 - D*Y**2| < C for D = f(n), its value X**2 - D*Y**2 and log(Y).
+MinSolutionRecord = namedtuple("MinSolutionRecord", "n D X Y value log_Y")
+
+MinSolutionGrowth = namedtuple("MinSolutionGrowth", "records skipped slope hypothesis")
 
 
 def min_solution_growth(
@@ -137,7 +122,7 @@ def min_solution_growth(
     y_max = (1 << _digit_budget_bits(digit_budget)) - 1
     if y_limit is not None:
         y_max = min(y_max, y_limit)
-    records: list[GrowthRecord] = []
+    records: list[MinSolutionRecord] = []
     skipped: list[tuple[int, str]] = []
     for n in n_range:
         try:
@@ -157,20 +142,20 @@ def min_solution_growth(
         if best is None:
             skipped.append((n, "cap"))
             continue
-        records.append(
-            GrowthRecord(
-                n,
-                math.log(best.Y),
-                {"D": D, "X": best.X, "Y": best.Y, "value": best.value},
-            )
-        )
-    slope = least_squares_slope([(rec.n, rec.statistic) for rec in records])
+        records.append(MinSolutionRecord(n, D, best.X, best.Y, best.value, math.log(best.Y)))
+    slope = least_squares_slope([(rec.n, rec.log_Y) for rec in records])
     return MinSolutionGrowth(tuple(records), tuple(skipped), slope, report)
+
+
+# One row of ``denominator_growth``: the exact denominator of f(n)/b**n,
+# its log, and whether it is flagged as below exp(n*ln(2)/2).
+DenominatorRecord = namedtuple("DenominatorRecord",
+                               "n denominator log_denominator flagged")
 
 
 def denominator_growth(
     f: PowerSumForm, b: int, n_range: range
-) -> list[GrowthRecord]:
+) -> list[DenominatorRecord]:
     """Exact denominator of f(n)/b**n per n, in lowest terms.
 
     A record is flagged when the denominator is below exp(n*ln(2)/2);
@@ -184,32 +169,17 @@ def denominator_growth(
     out = []
     for n in n_range:
         den = (eval_exact(f, n) / Fraction(b) ** n).denominator
-        out.append(
-            GrowthRecord(
-                n,
-                math.log(den),
-                {"denominator": den},
-                flagged=den * den < 2**n,
-            )
-        )
+        out.append(DenominatorRecord(n, den, math.log(den), den * den < 2**n))
     return out
 
 
-@dataclass(frozen=True)
-class PartialQuotientProfile:
-    """Observational profile of the first convergents of sqrt(f(n)).
-
-    ``max_partial_quotient`` is the largest partial quotient consumed
-    while convergent denominators stayed below exp(c*n);
-    ``effective_exponents`` are the measured values of
-    log(1/|sqrt(D) - p/q|)/log(q) over that prefix.
-    """
-
-    n: int
-    D: int
-    prefix_length: int
-    max_partial_quotient: int
-    effective_exponents: tuple[float, ...]
+# Observational profile of the first convergents of sqrt(f(n)).
+# ``max_partial_quotient`` is the largest partial quotient consumed while
+# convergent denominators stayed below exp(c*n); ``effective_exponents`` are
+# the measured values of log(1/|sqrt(D) - p/q|)/log(q) over that prefix.
+PartialQuotientProfile = namedtuple(
+    "PartialQuotientProfile",
+    "n D prefix_length max_partial_quotient effective_exponents")
 
 
 def partial_quotient_profile(
@@ -237,7 +207,7 @@ def partial_quotient_profile(
         raise ResourceLimitError(
             f"exp({c}*{n}) has over {DEFAULT_DIGIT_BUDGET} digits (the digit budget)"
         )
-    a0 = isqrt(D)
+    a0 = math.isqrt(D)
     max_a = 0
     exponents: list[float] = []
     for steps, p, q, value, a in pell_value_stream(D):

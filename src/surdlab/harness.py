@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from functools import partial
 
 from .forms import (
@@ -42,37 +43,28 @@ from .forms import (
 from .surd import (
     DEFAULT_WORD_CAP,
     cf_sqrt,
-    isqrt,
     is_perfect_square,
     period_length,
 )
 
-PRESETS: dict[str, str] = {
-    # Families with known period behaviour, ready to run by name.
-    "title": "2*4^n + 1",
-    "even-exponent": "4^n + 1",
-    "v2w2": "36^n + 2*3^n",
-}
-
-PRESET_RANGES: dict[str, tuple[int, int]] = {
-    "title": (1, 20),
-    "even-exponent": (1, 12),
-    "v2w2": (1, 8),
+PRESETS: dict[str, tuple[str, int, int]] = {
+    # Families with known period behaviour, ready to run by name:
+    # name -> (form, n_start, n_end).
+    "title": ("2*4^n + 1", 1, 20),
+    "even-exponent": ("4^n + 1", 1, 12),
+    "v2w2": ("36^n + 2*3^n", 1, 8),
 }
 
 FAMILY_COLUMNS = ("n", "D", "is_square", "r", "palindrome_ok", "pell_sign",
                   "max_pq_prefix", "notes")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    form: PowerSumForm
-    n_start: int
-    n_end: int
-    word_cap: int = DEFAULT_WORD_CAP
-    jobs: int = 1
+class ExperimentConfig(namedtuple("ExperimentConfig", "form n_start n_end word_cap jobs",
+                                  defaults=(DEFAULT_WORD_CAP, 1))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> ExperimentConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_end < self.n_start:
             raise ValueError("empty n range")
         if self.n_start < 0:
@@ -80,22 +72,15 @@ class ExperimentConfig:
             raise ValueError("evaluation at negative n is not defined")
         if self.word_cap < 1 or self.jobs < 1:
             raise ValueError("caps and worker counts must be positive")
+        return self
 
     @property
     def n_range(self) -> range:
         return range(self.n_start, self.n_end + 1)
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
-    n: int
-    D: int | None
-    is_square: bool
-    r: int | None
-    palindrome_ok: bool | None
-    pell_sign: int | None
-    max_pq_prefix: int | None
-    notes: str = ""
+# One family row, its fields in the order of the emitted columns.
+FamilyRecord = namedtuple("FamilyRecord", FAMILY_COLUMNS, defaults=("",))
 
 
 def _family_row(form: PowerSumForm, n: int, word_cap: int) -> FamilyRecord:
@@ -118,7 +103,7 @@ def _family_row(form: PowerSumForm, n: int, word_cap: int) -> FamilyRecord:
         -1 if r % 2 else 1,
         # The closing quotient 2*a0 is the largest of the period: for
         # 0 < k < r, d_k >= 2 and m_k <= a0 give a_k <= a0.
-        2 * isqrt(D),
+        2 * math.isqrt(D),
         "word-cap" if capped else "",
     )
 
@@ -224,10 +209,8 @@ def suffix_min_periods(records: list[FamilyRecord]) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: int
-    failures: tuple[str, ...]
+class IdentityReport(namedtuple("IdentityReport", "checks failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -355,24 +338,22 @@ def emit_table(
 def emit(records: list[FamilyRecord], format: str) -> bytes:
     """Serialize family records; the bytes are identical across platforms.
 
-    CSV double-quotes a note when there is one; JSON keeps the bare note.
+    A record is a row of ``FAMILY_COLUMNS``.  CSV double-quotes a note when
+    there is one; JSON keeps the bare note.
     """
-    rows = [
-        (rec.n, rec.D, rec.is_square, rec.r, rec.palindrome_ok, rec.pell_sign,
-         rec.max_pq_prefix,
-         f'"{rec.notes}"' if format == "csv" and rec.notes else rec.notes)
-        for rec in records
-    ]
-    return emit_table(FAMILY_COLUMNS, rows, format, indent=2).encode("utf-8")
+    if format == "csv":
+        records = [rec._replace(notes=f'"{rec.notes}"') if rec.notes else rec
+                   for rec in records]
+    return emit_table(FAMILY_COLUMNS, records, format, indent=2).encode("utf-8")
 
 
 def preset_config(name: str, n_start: int | None = None, n_end: int | None = None,
                   **kwargs) -> ExperimentConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    lo, hi = PRESET_RANGES[name]
+    form, lo, hi = PRESETS[name]
     return ExperimentConfig(
-        parse_form(PRESETS[name]),
+        parse_form(form),
         n_start if n_start is not None else lo,
         n_end if n_end is not None else hi,
         **kwargs,

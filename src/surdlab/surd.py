@@ -22,9 +22,9 @@ family rows), or earlier at the least Y of |X**2 - D*Y**2| < C
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import count, islice
-from typing import Iterator
 
 DEFAULT_WORD_CAP = 10**6
 DEFAULT_PERIOD_CAP = 10**5
@@ -42,13 +42,6 @@ class ResourceLimitError(RuntimeError):
 def _digit_budget_bits(digit_budget: int) -> int:
     """Bit length past which an integer surely exceeds ``digit_budget`` digits."""
     return int(digit_budget * math.log2(10)) + 1
-
-
-def isqrt(n: int) -> int:
-    """Floor square root: the s with s*s <= n < (s+1)*(s+1)."""
-    if n < 0:
-        raise ValueError("isqrt of a negative integer")
-    return math.isqrt(n)
 
 
 def is_perfect_square(n: int) -> bool:
@@ -69,32 +62,13 @@ def _check_surd(D: int) -> int:
     return a0
 
 
-@dataclass(frozen=True)
-class CFExpansion:
-    """Expansion of sqrt(D): a0 plus the periodic word of length r.
+# Expansion of sqrt(D): a0 plus the periodic word of length r.  ``period``
+# is None when the word was elided by a cap; ``r`` is exact either way.
+CFExpansion = namedtuple("CFExpansion", "D a0 period r")
 
-    ``period`` is None when the word was elided by a cap; ``r`` is exact
-    either way.
-    """
+Convergent = namedtuple("Convergent", "p q j")
 
-    D: int
-    a0: int
-    period: tuple[int, ...] | None
-    r: int
-
-
-@dataclass(frozen=True)
-class Convergent:
-    p: int
-    q: int
-    j: int
-
-
-@dataclass(frozen=True)
-class PellSolution:
-    X: int
-    Y: int
-    value: int
+PellSolution = namedtuple("PellSolution", "X Y value")
 
 
 def cf_stream(D: int) -> Iterator[tuple[int, int, int, int]]:

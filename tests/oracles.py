@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from surdlab.forms import add, dominant, eval_exact, monomial, mul, scale
 from surdlab.intervals import Interval, sqrt_interval
-from surdlab.surd import PellSolution, isqrt
+from surdlab.surd import PellSolution
 
 
 def brute_force_pell(D: int, C: int, y_limit: int) -> list[PellSolution]:
@@ -15,8 +15,8 @@ def brute_force_pell(D: int, C: int, y_limit: int) -> list[PellSolution]:
     out = []
     for Y in range(1, y_limit + 1):
         target = D * Y * Y
-        lo = isqrt(max(target - C, 0))
-        hi = isqrt(target + C) + 1
+        lo = math.isqrt(max(target - C, 0))
+        hi = math.isqrt(target + C) + 1
         for X in range(max(lo, 1), hi + 1):
             v = X * X - target
             if abs(v) < C:

@@ -11,6 +11,7 @@ forced by exact arithmetic, since the denominator there is 2 and
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from surdlab.growth import (
 )
 from surdlab.harness import ExperimentConfig, FamilyRecord, run_family, suffix_min_periods
 from surdlab.intervals import sqrt_interval
-from surdlab.surd import cf_sqrt, convergents, is_perfect_square, isqrt
+from surdlab.surd import cf_sqrt, convergents, is_perfect_square
 
 from oracles import brute_force_pell
 
@@ -181,7 +182,7 @@ def test_acceptance_6_pell_oracle_equivalence():
     for D in range(2, 501):
         if is_perfect_square(D):
             continue
-        c_max = isqrt(D)
+        c_max = math.isqrt(D)
         oracle = brute_force_pell(D, c_max, y_limit)
         for C in range(1, c_max + 1):
             got = bounded_pell_solutions(D, C, y_limit=y_limit)
@@ -239,7 +240,7 @@ def test_acceptance_8_denominator_instance():
     by_n = {rec.n: rec for rec in records}
 
     expected = {n: _denominator_closed_form(n) for n in n_values}
-    off_formula = [n for n in n_values if by_n[n].metadata["denominator"] != expected[n]]
+    off_formula = [n for n in n_values if by_n[n].denominator != expected[n]]
     assert not off_formula, f"denominators off the closed form at n={off_formula}"
 
     expected_flagged = sorted(n for n, den in expected.items() if den * den < 2**n)

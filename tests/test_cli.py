@@ -792,9 +792,11 @@ def _python(*args, **kwargs):
                           timeout=60, **kwargs)
 
 
-@pytest.mark.parametrize("module", ["multiprocessing", "surdlab.intervals"])
+@pytest.mark.parametrize("module", ["multiprocessing", "surdlab.intervals", "dataclasses",
+                                    "typing", "inspect"])
 def test_cli_import_leaves_multiprocessing_out(module):
-    proc = _python("-c", f"import sys, surdlab.cli; print({module!r} in sys.modules)")
+    # -S: without site, whose .pth files may import typing themselves.
+    proc = _python("-S", "-c", f"import sys, surdlab.cli; print({module!r} in sys.modules)")
     assert proc.stdout == b"False\n", proc.stderr
 
 

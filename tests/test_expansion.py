@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
+import time
 from datetime import timedelta
 from fractions import Fraction
 
@@ -505,6 +507,22 @@ def test_growth_exponent_exactness_types():
     assert got == F(3, 2) and isinstance(got, Fraction)
     got = growth_exponent(parse_form("3^n"), parse_form("2^n"))
     assert isinstance(got, float) and 1.5 < got < 1.7
+    # Dependent bases past any factoring range: 2^40 against 2^30 and 4.
+    got = growth_exponent(parse_form(f"{2**40}^n"), parse_form(f"{2**30}^n"))
+    assert got == F(4, 3) and isinstance(got, Fraction)
+    got = growth_exponent(parse_form("4^n"), parse_form(f"{2**40}^n + 1"))
+    assert got == F(1, 20) and isinstance(got, Fraction)
+    # Independent bases, one with a large prime factor and two near the
+    # float limit: the float, at once.
+    g, f = parse_form("4^n"), parse_form(f"{999983**2}^n")
+    big_g, big_f = parse_form(f"{3**599}^n"), parse_form(f"{2**1020 + 1}^n")
+    start = time.perf_counter()
+    for _ in range(10):
+        got, big = growth_exponent(g, f), growth_exponent(big_g, big_f)
+    assert time.perf_counter() - start < 0.1
+    assert got == math.log(4) / math.log(999983**2) and isinstance(got, float)
+    assert big == math.log(float(3**599)) / math.log(float(2**1020 + 1))
+    assert isinstance(big, float)
 
 
 def test_growth_exponent_requires_growing_reference():

@@ -97,16 +97,16 @@ def test_min_solution_growth_title_family():
     result = min_solution_growth(TITLE, 2, range(1, 7))
     assert (1, "square") in result.skipped  # f(1) = 9
     by_n = {rec.n: rec for rec in result.records}
-    assert by_n[2].metadata["Y"] == 4  # from D = 33
-    assert by_n[2].metadata["D"] == 33
+    assert by_n[2].Y == 4  # from D = 33
+    assert by_n[2].D == 33
     assert result.slope is not None and result.slope > 0
     assert result.hypothesis is not None and result.hypothesis.holds
 
 
 def test_min_solution_growth_flat_for_trivial_family():
     result = min_solution_growth(parse_form("4^n + 1"), 2, range(1, 11))
-    assert all(rec.metadata["Y"] == 1 for rec in result.records)
-    assert all(rec.metadata["X"] == 2**rec.n for rec in result.records)
+    assert all(rec.Y == 1 for rec in result.records)
+    assert all(rec.X == 2**rec.n for rec in result.records)
     assert result.slope == 0.0
     assert result.hypothesis is not None and not result.hypothesis.holds
 
@@ -169,8 +169,8 @@ def test_min_solution_growth_matches_oracle_on_title_family(C):
     result = min_solution_growth(TITLE, C, range(2, 17))
     assert result.skipped == ()
     for rec in result.records:
-        want = plain_min_solution(rec.metadata["D"], C, None, bits)
-        assert (rec.metadata["X"], rec.metadata["Y"], rec.metadata["value"]) == (
+        want = plain_min_solution(rec.D, C, None, bits)
+        assert (rec.X, rec.Y, rec.value) == (
             want.X, want.Y, want.value), rec.n
 
 
@@ -186,7 +186,7 @@ def test_min_solution_growth_matches_oracle_under_digit_caps(budget):
         got = by_n.get(n)
         assert (want is None) == (got is None), n
         if want is not None:
-            assert (got.metadata["X"], got.metadata["Y"]) == (want.X, want.Y), n
+            assert (got.X, got.Y) == (want.X, want.Y), n
 
 
 def test_capped_rows_build_no_convergent_past_twice_the_cap(monkeypatch):
@@ -225,18 +225,18 @@ def test_least_squares_slope():
 def test_denominator_growth_3n_plus_1():
     records = denominator_growth(parse_form("3^n + 1"), 2, range(1, 13))
     by_n = {rec.n: rec for rec in records}
-    assert by_n[4].metadata["denominator"] == 8
-    assert by_n[1].metadata["denominator"] == 1
+    assert by_n[4].denominator == 8
+    assert by_n[1].denominator == 1
     for n in range(2, 13):
         expected = 2 ** (n - 2) if n % 2 else 2 ** (n - 1)
-        assert by_n[n].metadata["denominator"] == expected
+        assert by_n[n].denominator == expected
     # Exact flag: denominator^2 < 2^n, i.e. denominator < exp(n ln2 / 2).
     assert sorted(rec.n for rec in records if rec.flagged) == [1, 3]
 
 
 def test_denominator_growth_divisible_roots():
     records = denominator_growth(parse_form("2*4^n"), 2, range(1, 9))
-    assert all(rec.metadata["denominator"] == 1 for rec in records)
+    assert all(rec.denominator == 1 for rec in records)
     assert all(rec.flagged for rec in records)  # allowed: 2 divides the root
 
 

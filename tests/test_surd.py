@@ -31,7 +31,6 @@ from surdlab.surd import (
     convergents,
     fundamental_pell,
     is_perfect_square,
-    isqrt,
     pell_value_stream,
     period_bound_ratio,
     period_length,
@@ -68,14 +67,6 @@ KNOWN_EXPANSIONS = {
     101: (10, (20,)),
     129: (11, (2, 1, 3, 1, 6, 1, 3, 1, 2, 22)),
 }
-
-
-def test_isqrt_examples():
-    assert isqrt(33) == 5
-    assert isqrt(129) == 11
-    assert isqrt(16) == 4
-    with pytest.raises(ValueError):
-        isqrt(-1)
 
 
 def test_is_perfect_square():
@@ -311,7 +302,7 @@ def test_fundamental_pell_textbook_values():
 def test_fundamental_pell_minimality_brute_force():
     # No Y below the reported one solves |X^2 - 33 Y^2| = 1.
     for Y in range(1, 4):
-        X = isqrt(33 * Y * Y)
+        X = math.isqrt(33 * Y * Y)
         assert abs(X * X - 33 * Y * Y) != 1
         assert abs((X + 1) ** 2 - 33 * Y * Y) != 1
 
@@ -333,7 +324,7 @@ def test_fundamental_pell_minimality_sweep():
             continue
         sol = fundamental_pell(D)
         for Y in range(1, min(sol.Y, 600)):
-            X = isqrt(D * Y * Y)
+            X = math.isqrt(D * Y * Y)
             assert abs(X * X - D * Y * Y) != 1
             assert abs((X + 1) ** 2 - D * Y * Y) != 1
 
