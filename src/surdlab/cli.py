@@ -3,12 +3,12 @@
 Subcommands: cf, pell, growth, profile, hypothesis, expand, family,
 identities.  Exit codes: 0 success, 1 identity-check failure,
 2 invalid input, 3 resource cap hit (fatal caps always; soft caps only
-under --strict).  ``main`` builds the argparse parser of the one command
-that argv names, and the full tree (``build_parser``) only for help and
-errors above that command or for arguments that command does not take.
-It then calls the run function that ``_COMMANDS`` holds beside the
-command's flags, and writes the output it collected once, to --out or
-stdout.
+under --strict).  ``_COMMANDS`` holds each command's help, run function
+and flags, and is the only place a flag is declared.  ``main`` builds the
+argparse parser of the one command that argv names, and the full tree
+(``build_parser``) only for help and errors above that command or for
+arguments that command does not take.  It then calls the command's run
+function and writes the output it collected once, to --out or stdout.
 """
 
 from __future__ import annotations
@@ -64,98 +64,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# Options every runnable command offers.
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "csv", "json"), default=None,
-                   help="output format (default: text for cf, hypothesis and "
-                   "identities, csv otherwise)")
-    p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
+# A flag is a pair (name, argparse keywords).  Flags several commands take:
+_D = ("D", dict(type=int))
+_FORM = ("--form", dict(required=True))
+_DIGIT_BUDGET = ("--digit-budget", dict(type=_positive_int, default=DEFAULT_DIGIT_BUDGET,
+                                        help="decimal-digit cap for Pell solutions"))
+_STRICT = ("--strict", dict(action="store_true",
+                            help="exit 3 when any resource cap was hit"))
 
 
-# Options offered only by the subcommands that read them.
-def _add_digit_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--digit-budget", type=_positive_int, default=DEFAULT_DIGIT_BUDGET,
-                   help="decimal-digit cap for Pell solutions")
+def _word_cap(help_text: str) -> tuple[str, dict]:
+    return "--word-cap", dict(type=_positive_int, default=DEFAULT_WORD_CAP, help=help_text)
 
 
-def _add_word_cap(p: argparse.ArgumentParser, help_text: str) -> None:
-    p.add_argument("--word-cap", type=_positive_int, default=DEFAULT_WORD_CAP,
-                   help=help_text)
+# Flags every runnable command takes, before its own.
+_COMMON = (
+    ("--format", dict(choices=("text", "csv", "json"), default=None,
+                      help="output format (default: text for cf, hypothesis and "
+                      "identities, csv otherwise)")),
+    ("--out", dict(default=None, help="write output to FILE instead of stdout")),
+)
 
 
-def _add_strict(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 when any resource cap was hit")
-
-
-# The flags of each runnable command, after the common ones.
-def _cf_sqrt_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("D", type=int)
-    _add_word_cap(p, "longest period word kept in memory; a longer one is elided")
-    _add_strict(p)
-
-
-def _cf_period_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("D", type=int)
-
-
-def _cf_pell_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("D", type=int)
-    _add_digit_budget(p)
-
-
-def _pell_scan_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--form", help="family f(n); scans D = f(n) over --n")
-    p.add_argument("--D", type=int, help="single D instead of a family")
-    p.add_argument("--C", type=int, required=True)
-    p.add_argument("--n", help="n range a..b (with --form)")
-    p.add_argument("--y-limit", type=int, default=None,
-                   help="largest Y searched; collect-all scans default to "
-                   "10^12 (an unbounded default would balloon), minimal-Y "
-                   "family scans default to the digit budget")
-    p.add_argument("--all", action="store_true",
-                   help="with --form: list every solution, not just the minimal one")
-    _add_digit_budget(p)
-    _add_strict(p)
-
-
-def _growth_denom_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--form", required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--n", required=True)
-
-
-def _profile_pq_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--form", required=True)
-    p.add_argument("--n", required=True)
-    p.add_argument("--c", type=float, required=True)
-
-
-def _hypothesis_check_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--form", required=True)
-
-
-def _expand_sqrt_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--form", required=True)
-    p.add_argument("--j", type=int, choices=(0, 1), required=True)
-    p.add_argument("--n-range", required=True)
-
-
-def _family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=sorted(harness.PRESETS))
-    p.add_argument("--form")
-    p.add_argument("--n", help="n range a..b")
-    p.add_argument("--summary", action="store_true",
-                   help="print the suffix minimum of r to stderr")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="processes that walk rows, this one included")
-    _add_word_cap(p, "longest r whose palindrome_ok is reported; longer rows get "
-                  "null and the word-cap note (rows keep no word in memory)")
-    _add_strict(p)
-
-
-def _identities_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-max", type=int, default=10)
+def _add_flags(parser: argparse.ArgumentParser, flags: tuple) -> None:
+    for name, kwargs in _COMMON + flags:
+        parser.add_argument(name, **kwargs)
 
 
 def _format(args, *formats: str) -> str:
@@ -365,22 +298,16 @@ def _run_expand(args, out: list[str]) -> int:
 def _run_family(args, out: list[str]) -> int:
     if (args.preset is None) == (args.form is None):
         raise ValueError("family needs exactly one of --preset or --form")
-    kwargs = dict(word_cap=args.word_cap, jobs=args.jobs)
     if args.preset:
-        n_range = _parse_n_range(args.n) if args.n else None
-        config = harness.preset_config(
-            args.preset,
-            n_start=n_range.start if n_range else None,
-            n_end=(n_range[-1] if n_range else None),
-            **kwargs,
-        )
+        form, start, end = harness.PRESETS[args.preset]
+        n_range = _parse_n_range(args.n) if args.n else range(start, end + 1)
+    elif args.n is None:
+        raise ValueError("family with --form needs --n a..b")
     else:
-        if args.n is None:
-            raise ValueError("family with --form needs --n a..b")
-        n_range = _parse_n_range(args.n)
-        config = harness.ExperimentConfig(
-            parse_form(args.form), n_range.start, n_range[-1], **kwargs
-        )
+        form, n_range = args.form, _parse_n_range(args.n)
+    config = harness.ExperimentConfig(
+        parse_form(form), n_range.start, n_range[-1], args.word_cap, args.jobs
+    )
     records = harness.run_family(config)
     out.append(harness.emit(records, _format(args, "csv", "json")).decode("utf-8"))
     if args.summary:
@@ -404,36 +331,76 @@ def _run_identities(args, out: list[str]) -> int:
     return 0 if report.ok else 1
 
 
-# command -> (help, (flags, run)) for a runnable command, or
-# command -> (help, {subcommand: (help, (flags, run))}) for a group.  The one
-# definition of the command line: build_parser() builds all of it, main()
-# only the command that argv names, and main() calls that command's run.
+# command -> (help, run, flags) for a runnable command, or
+# command -> (help, {subcommand: (help, run, flags)}) for a group; a
+# command's parser takes _COMMON and then its flags.  The one definition of
+# the command line: build_parser() builds all of it, _parse_args() only the
+# command that argv names, and main() calls that command's run.
 _COMMANDS = {
     "cf": ("continued fraction of sqrt(D)", {
-        "sqrt": ("a0, period word and r", (_cf_sqrt_flags, _run_cf_sqrt)),
-        "period": ("period length and bound ratio", (_cf_period_flags, _run_cf_period)),
-        "pell": ("fundamental Pell solution", (_cf_pell_flags, _run_cf_pell)),
+        "sqrt": ("a0, period word and r", _run_cf_sqrt, (
+            _D,
+            _word_cap("longest period word kept in memory; a longer one is elided"),
+            _STRICT,
+        )),
+        "period": ("period length and bound ratio", _run_cf_period, (_D,)),
+        "pell": ("fundamental Pell solution", _run_cf_pell, (_D, _DIGIT_BUDGET)),
     }),
     "pell": ("bounded Pell-type solution scans", {
-        "scan": ("solutions of |X^2 - D Y^2| < C", (_pell_scan_flags, _run_pell_scan)),
+        "scan": ("solutions of |X^2 - D Y^2| < C", _run_pell_scan, (
+            ("--form", dict(help="family f(n); scans D = f(n) over --n")),
+            ("--D", dict(type=int, help="single D instead of a family")),
+            ("--C", dict(type=int, required=True)),
+            ("--n", dict(help="n range a..b (with --form)")),
+            ("--y-limit", dict(type=int, default=None,
+                               help="largest Y searched; collect-all scans default to "
+                               "10^12 (an unbounded default would balloon), minimal-Y "
+                               "family scans default to the digit budget")),
+            ("--all", dict(action="store_true",
+                           help="with --form: list every solution, not just the minimal one")),
+            _DIGIT_BUDGET,
+            _STRICT,
+        )),
     }),
     "growth": ("growth statistics along a family", {
-        "denom": ("exact denominators of f(n)/b^n", (_growth_denom_flags, _run_growth_denom)),
+        "denom": ("exact denominators of f(n)/b^n", _run_growth_denom, (
+            _FORM,
+            ("--b", dict(type=int, required=True)),
+            ("--n", dict(required=True)),
+        )),
     }),
     "profile": ("partial-quotient profiles", {
-        "pq": ("max partial quotient while q_j < exp(c*n)",
-               (_profile_pq_flags, _run_profile_pq)),
+        "pq": ("max partial quotient while q_j < exp(c*n)", _run_profile_pq, (
+            _FORM,
+            ("--n", dict(required=True)),
+            ("--c", dict(type=float, required=True)),
+        )),
     }),
     "hypothesis": ("square-decomposition hypothesis", {
-        "check": ("decide and show witnesses", (_hypothesis_check_flags, _run_hypothesis)),
+        "check": ("decide and show witnesses", _run_hypothesis, (_FORM,)),
     }),
     "expand": ("truncated square-root expansions", {
-        "sqrt": ("certified error table", (_expand_sqrt_flags, _run_expand)),
+        "sqrt": ("certified error table", _run_expand, (
+            _FORM,
+            ("--j", dict(type=int, choices=(0, 1), required=True)),
+            ("--n-range", dict(required=True)),
+        )),
     }),
-    "family": ("period records for D = f(n) over an n range",
-               (_family_flags, _run_family)),
-    "identities": ("verify the constant-period identity families",
-                   (_identities_flags, _run_identities)),
+    "family": ("period records for D = f(n) over an n range", _run_family, (
+        ("--preset", dict(choices=sorted(harness.PRESETS))),
+        ("--form", dict()),
+        ("--n", dict(help="n range a..b")),
+        ("--summary", dict(action="store_true",
+                           help="print the suffix minimum of r to stderr")),
+        ("--jobs", dict(type=_positive_int, default=1,
+                        help="processes that walk rows, this one included")),
+        _word_cap("longest r whose palindrome_ok is reported; longer rows get "
+                  "null and the word-cap note (rows keep no word in memory)"),
+        _STRICT,
+    )),
+    "identities": ("verify the constant-period identity families", _run_identities, (
+        ("--n-max", dict(type=int, default=10)),
+    )),
 }
 
 
@@ -444,17 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
         "power-sum family experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, spec) in _COMMANDS.items():
-        if isinstance(spec, tuple):
-            leaves = [(sub.add_parser(command, help=help_text), spec)]
-        else:
-            group = sub.add_parser(command, help=help_text).add_subparsers(
+    for command, entry in _COMMANDS.items():
+        if isinstance(entry[1], dict):
+            group = sub.add_parser(command, help=entry[0]).add_subparsers(
                 dest=f"{command}_command", required=True)
-            leaves = [(group.add_parser(name, help=leaf_help), leaf)
-                      for name, (leaf_help, leaf) in spec.items()]
-        for p, (flags, _) in leaves:
-            _add_common(p)
-            flags(p)
+            leaves = [(group.add_parser(name, help=leaf[0]), leaf)
+                      for name, leaf in entry[1].items()]
+        else:
+            leaves = [(sub.add_parser(command, help=entry[0]), entry)]
+        for p, (_, _, flags) in leaves:
+            _add_flags(p, flags)
     return parser
 
 
@@ -467,17 +433,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     unrecognized, goes to the full tree, which prints the help, usage and
     errors of the levels above.
     """
-    spec, names = _COMMANDS, []
+    entry, names = (None, _COMMANDS), []  # the root, shaped as a group
     for name in argv[:2]:
-        if not isinstance(spec, dict) or name not in spec:
+        if not isinstance(entry[1], dict) or name not in entry[1]:
             break
-        spec = spec[name][1]
+        entry = entry[1][name]
         names.append(name)
-    if isinstance(spec, tuple):
-        flags, _ = spec
+    if not isinstance(entry[1], dict):
         parser = argparse.ArgumentParser(prog=" ".join(["surdlab", *names]))
-        _add_common(parser)
-        flags(parser)
+        _add_flags(parser, entry[2])
         args, extras = parser.parse_known_args(argv[len(names):])
         if not extras:
             args.command = names[0]
@@ -492,10 +456,10 @@ def main(argv: list[str] | None = None) -> int:
     # Large output integers are bounded by the digit budget and the scans'
     # caps where those apply, never by the interpreter's str() limit.
     sys.set_int_max_str_digits(0)
-    spec = _COMMANDS[args.command][1]
-    if isinstance(spec, dict):
-        spec = spec[getattr(args, f"{args.command}_command")][1]
-    _, run = spec
+    entry = _COMMANDS[args.command]
+    if isinstance(entry[1], dict):
+        entry = entry[1][getattr(args, f"{args.command}_command")]
+    _, run, _ = entry
     out: list[str] = []
     try:
         code = run(args, out)

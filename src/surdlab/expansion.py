@@ -143,9 +143,7 @@ class SqrtApprox(namedtuple("SqrtApprox",
         return self.series_form.is_zero
 
 
-def sqrt_approximation(
-    f: PowerSumForm, j: int, depth_cap: int = _DEPTH_CAP
-) -> SqrtApprox:
+def sqrt_approximation(f: PowerSumForm, j: int) -> SqrtApprox:
     """Build the truncated expansion of ``sqrt(f(2n+j))``.
 
     When ``j == 0`` and the leading base is already a perfect square the
@@ -176,9 +174,9 @@ def sqrt_approximation(
 
     ratio = dominant_ratio(source)
     depth = _floor_log_ratio(base, ratio) + 1
-    if depth > depth_cap:
+    if depth > _DEPTH_CAP:
         raise ResourceLimitError(
-            f"series depth {depth} exceeds cap {depth_cap} (base ratio too close to 1)"
+            f"series depth {depth} exceeds cap {_DEPTH_CAP} (base ratio too close to 1)"
         )
     threshold = 1 / (base * ratio)
     series = _binomial_sqrt_series(
@@ -442,7 +440,9 @@ def growth_exponent(g: PowerSumForm, f: PowerSumForm) -> Fraction | float:
     u = dominant(g)[1]
     if u == 1:
         return Fraction(0)
-    ratio = math.log(u) / math.log(v)
+    # Each log apart, so that bases past the float range stay finite.
+    ratio = ((math.log(u.numerator) - math.log(u.denominator))
+             / (math.log(v.numerator) - math.log(v.denominator)))
     exact = Fraction(ratio).limit_denominator((v.numerator * v.denominator).bit_length())
     p, q = abs(exact.numerator), exact.denominator
     w = v if exact >= 0 else 1 / v

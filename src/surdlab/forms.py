@@ -94,10 +94,6 @@ def normalize(raw_terms: Iterable[tuple]) -> PowerSumForm:
     return PowerSumForm(terms)
 
 
-def monomial(coef, base) -> PowerSumForm:
-    return normalize([(coef, base)])
-
-
 def constant(c) -> PowerSumForm:
     return normalize([(c, 1)])
 

@@ -42,12 +42,12 @@ PellScan = namedtuple("PellScan", "solutions complete")
 
 
 def bounded_pell_solutions(
-    D: int, C: int, y_limit: int | None = None, digit_budget: int = DEFAULT_DIGIT_BUDGET
+    D: int, C: int, y_limit: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> PellScan:
     """All (X, Y) with |X**2 - D*Y**2| < C and Y within the search box.
 
-    The box bounds Y by ``y_limit`` (None: by the digit budget alone).  C
-    or ``y_limit`` below 1 raises ValueError.  The scan is complete
+    The box bounds Y by ``y_limit`` and by the digit budget.  C or
+    ``y_limit`` below 1 raises ValueError.  The scan is complete
     (provably finds every solution) only when C <= sqrt(D); for larger C
     the result still comes back but flagged incomplete.
 
@@ -61,7 +61,7 @@ def bounded_pell_solutions(
     bits_cap = _digit_budget_bits(digit_budget)
 
     def past_cap(y: int) -> bool:
-        return (y_limit is not None and y > y_limit) or y.bit_length() > bits_cap
+        return y > y_limit or y.bit_length() > bits_cap
 
     out: list[PellSolution] = []
     for _, p, q, value, _ in pell_value_stream(D):

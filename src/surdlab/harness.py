@@ -346,15 +346,3 @@ def emit(records: list[FamilyRecord], format: str) -> bytes:
                    for rec in records]
     return emit_table(FAMILY_COLUMNS, records, format, indent=2).encode("utf-8")
 
-
-def preset_config(name: str, n_start: int | None = None, n_end: int | None = None,
-                  **kwargs) -> ExperimentConfig:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    form, lo, hi = PRESETS[name]
-    return ExperimentConfig(
-        parse_form(form),
-        n_start if n_start is not None else lo,
-        n_end if n_end is not None else hi,
-        **kwargs,
-    )

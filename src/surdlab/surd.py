@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import count, islice
+from itertools import count
 
 DEFAULT_WORD_CAP = 10**6
 DEFAULT_PERIOD_CAP = 10**5
@@ -65,8 +65,6 @@ def _check_surd(D: int) -> int:
 # Expansion of sqrt(D): a0 plus the periodic word of length r.  ``period``
 # is None when the word was elided by a cap; ``r`` is exact either way.
 CFExpansion = namedtuple("CFExpansion", "D a0 period r")
-
-Convergent = namedtuple("Convergent", "p q j")
 
 PellSolution = namedtuple("PellSolution", "X Y value")
 
@@ -173,13 +171,6 @@ def period_length(D: int) -> int:
 def period_bound_ratio(D: int, r: int) -> float:
     """Observed ratio r / (sqrt(D) * ln(D)) of the period length r of sqrt(D)."""
     return r / (math.sqrt(D) * math.log(D))
-
-
-def convergents(D: int, count: int) -> list[Convergent]:
-    """First ``count`` convergents p_j/q_j of sqrt(D)."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    return [Convergent(p, q, j) for j, p, q, _, _ in islice(pell_value_stream(D), count)]
 
 
 def pell_value_stream(D: int) -> Iterator[tuple[int, int, int, int, int]]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from surdlab.forms import add, dominant, eval_exact, monomial, mul, scale
+from surdlab.forms import add, dominant, eval_exact, mul, normalize, scale
 from surdlab.intervals import Interval, sqrt_interval
 from surdlab.surd import PellSolution
 
@@ -85,7 +85,7 @@ def algebraic_residual(approx):
     """
     base = lead_base(approx)
     k = approx.depth
-    lhs = mul(monomial(1, base ** (2 * k - 1)), approx.source)
+    lhs = mul(normalize([(1, base ** (2 * k - 1))]), approx.source)
     rhs = scale(mul(approx.series_form, approx.series_form), approx.lead_coefficient)
     return add(lhs, scale(rhs, -1))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -35,7 +36,7 @@ from surdlab.growth import (
 )
 from surdlab.harness import ExperimentConfig, FamilyRecord, run_family, suffix_min_periods
 from surdlab.intervals import sqrt_interval
-from surdlab.surd import cf_sqrt, convergents, is_perfect_square
+from surdlab.surd import cf_sqrt, is_perfect_square, pell_value_stream
 
 from oracles import brute_force_pell
 
@@ -158,16 +159,16 @@ def test_acceptance_5_cf_invariants_to_1e4():
         assert word[-1] == 2 * exp.a0, D
         assert word[:-1] == word[-2::-1], D
 
-        cs = convergents(D, exp.r)
-        for prev, cur in zip(cs, cs[1:]):
-            assert cur.p * prev.q - prev.p * cur.q == (-1) ** (cur.j - 1), D
-        last = cs[-1]
-        assert last.p**2 - D * last.q**2 == (-1) ** exp.r, D
+        cs = list(islice(pell_value_stream(D), exp.r))
+        for (_, p0, q0, _, _), (j, p, q, _, _) in zip(cs, cs[1:]):
+            assert p * q0 - p0 * q == (-1) ** (j - 1), D
+        _, p, q, _, _ = cs[-1]
+        assert p**2 - D * q**2 == (-1) ** exp.r, D
 
-        root = sqrt_interval(D, 2 * cs[-1].q.bit_length() + 32)
-        for c in cs:
-            err = abs(root - Fraction(c.p, c.q))
-            assert err.certainly_below(Fraction(1, c.q * c.q)), (D, c.j)
+        root = sqrt_interval(D, 2 * q.bit_length() + 32)
+        for j, p, q, _, _ in cs:
+            err = abs(root - Fraction(p, q))
+            assert err.certainly_below(Fraction(1, q * q)), (D, j)
         checked += 1
     elapsed = time.monotonic() - t0
     ok = elapsed < 120

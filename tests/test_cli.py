@@ -168,6 +168,11 @@ def test_hypothesis_check_text(capsys):
     assert "verdict: fails" in out
     assert "j=0: h = 4^n, g = 1" in out
 
+    # The witness bases are past the float range.
+    code, out, _ = run(capsys, "hypothesis", "check", "--form", f"{10**200}^n + 2^n")
+    assert code == 0
+    assert "verdict: fails" in out
+
 
 def test_hypothesis_check_json(capsys):
     code, out, _ = run(
@@ -205,6 +210,23 @@ def test_family_preset(capsys):
         "2,33,false,4,true,1,10,\n"
         "3,129,false,10,true,1,22,\n"
     )
+
+
+def test_family_preset_range(capsys):
+    # A preset runs its own n range unless --n replaces it.
+    code, out, _ = run(capsys, "family", "--preset", "v2w2")
+    assert code == 0
+    assert out == run(capsys, "family", "--form", "36^n + 2*3^n", "--n", "1..8")[1]
+    assert [row.split(",")[:2] for row in out.splitlines()[1:3]] == [["1", "42"],
+                                                                     ["2", "1314"]]
+    assert len(out.splitlines()) == 9
+    code, out, _ = run(capsys, "family", "--preset", "v2w2", "--n", "2..5")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["2", "3", "4", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--preset", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_family_json(capsys):

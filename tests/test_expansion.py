@@ -286,7 +286,7 @@ def test_expansion_rejects_bad_inputs():
     with pytest.raises(ValueError, match="integer bases"):
         sqrt_approximation(normalize([(1, F(9, 4))]), 0)
     with pytest.raises(ResourceLimitError):
-        sqrt_approximation(parse_form("100^n + 99^n"), 0, depth_cap=16)
+        sqrt_approximation(parse_form("100^n + 99^n"), 0)
 
 
 def test_floor_log_ratio_matches_linear_search():

@@ -21,7 +21,6 @@ from surdlab.forms import (
     eval_exact,
     eval_int,
     format_form,
-    monomial,
     mul,
     normalize,
     parse_form,
@@ -120,7 +119,7 @@ def _tail_oracle(f: PowerSumForm) -> PowerSumForm:
     # Independent check: f must equal a1*b1^n * (1 + tail) exactly.
     a1, b1 = dominant(f)
     tail = relative_tail(f)
-    rebuilt = mul(monomial(a1, b1), add(constant(1), tail))
+    rebuilt = mul(normalize([(a1, b1)]), add(constant(1), tail))
     assert rebuilt == f
     return tail
 
@@ -245,4 +244,4 @@ def test_dominant_identity_on_positive_leading_forms(f):
     if f.is_zero or dominant(f)[0] <= 0:
         return
     a1, b1 = dominant(f)
-    assert mul(monomial(a1, b1), add(constant(1), relative_tail(f))) == f
+    assert mul(normalize([(a1, b1)]), add(constant(1), relative_tail(f))) == f

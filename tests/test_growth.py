@@ -72,7 +72,7 @@ def test_scan_emits_non_coprime_multiples():
 
 def test_scan_rejects_bad_queries():
     with pytest.raises(ValueError):
-        bounded_pell_solutions(33, 0)
+        bounded_pell_solutions(33, 0, y_limit=10)
     with pytest.raises(ValueError):
         bounded_pell_solutions(33, 2, y_limit=0)
     with pytest.raises(SquareInputError):

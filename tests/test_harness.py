@@ -18,7 +18,6 @@ from surdlab.harness import (
     FamilyRecord,
     emit,
     emit_table,
-    preset_config,
     run_family,
     run_identity_checks,
     suffix_min_periods,
@@ -165,16 +164,6 @@ def test_config_validation():
         ExperimentConfig(TITLE, 5, 4)
     with pytest.raises(ValueError):
         ExperimentConfig(TITLE, 1, 2, jobs=0)
-
-
-def test_preset_config():
-    config = preset_config("title")
-    assert config.form == TITLE
-    assert (config.n_start, config.n_end) == (1, 20)
-    config = preset_config("v2w2", n_start=2, n_end=5)
-    assert (config.n_start, config.n_end) == (2, 5)
-    with pytest.raises(ValueError, match="unknown preset"):
-        preset_config("nope")
 
 
 def test_identity_checks_pass_on_default_grids():

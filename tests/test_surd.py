@@ -22,13 +22,11 @@ from surdlab.intervals import sqrt_interval
 from surdlab.surd import (
     DEFAULT_WORD_CAP,
     CFExpansion,
-    Convergent,
     PellSolution,
     ResourceLimitError,
     SquareInputError,
     cf_sqrt,
     cf_stream,
-    convergents,
     fundamental_pell,
     is_perfect_square,
     pell_value_stream,
@@ -125,7 +123,7 @@ def test_cf_stream_state_invariants():
 
 
 def test_square_inputs_rejected():
-    for op in (cf_sqrt, period_length, lambda D: convergents(D, 2), fundamental_pell):
+    for op in (cf_sqrt, period_length, lambda D: next(pell_value_stream(D)), fundamental_pell):
         with pytest.raises(SquareInputError):
             op(9)
     with pytest.raises(ValueError):
@@ -236,9 +234,12 @@ def test_palindrome_and_closing_quotient_up_to_2000():
 
 
 def test_convergents_frozen():
-    assert [(c.p, c.q) for c in convergents(33, 4)] == [(5, 1), (6, 1), (17, 3), (23, 4)]
-    assert [(c.p, c.q) for c in convergents(2, 3)] == [(1, 1), (3, 2), (7, 5)]
-    assert [(c.p, c.q) for c in convergents(17, 2)] == [(4, 1), (33, 8)]
+    def pq(D, count):
+        return [(p, q) for _, p, q, _, _ in islice(pell_value_stream(D), count)]
+
+    assert pq(33, 4) == [(5, 1), (6, 1), (17, 3), (23, 4)]
+    assert pq(2, 3) == [(1, 1), (3, 2), (7, 5)]
+    assert pq(17, 2) == [(4, 1), (33, 8)]
 
 
 @given(st.integers(min_value=2, max_value=3000))
@@ -246,12 +247,11 @@ def test_convergents_frozen():
 def test_convergent_invariants(D):
     if is_perfect_square(D):
         return
-    cs = convergents(D, 8)
-    for c in cs:
-        assert math.gcd(c.p, c.q) == 1
-    for prev, cur in zip(cs, cs[1:]):
-        det = cur.p * prev.q - prev.p * cur.q
-        assert det == (-1) ** (cur.j - 1)
+    cs = list(islice(pell_value_stream(D), 8))
+    for _, p, q, _, _ in cs:
+        assert math.gcd(p, q) == 1
+    for (_, p0, q0, _, _), (j, p, q, _, _) in zip(cs, cs[1:]):
+        assert p * q0 - p0 * q == (-1) ** (j - 1)
 
 
 def test_convergent_quality_certified():
@@ -260,12 +260,12 @@ def test_convergent_quality_certified():
         if is_perfect_square(D):
             continue
         r = period_length(D)
-        cs = convergents(D, r)
-        bits = 2 * cs[-1].q.bit_length() + 32
+        cs = list(islice(pell_value_stream(D), r))
+        bits = 2 * cs[-1][2].bit_length() + 32
         root = sqrt_interval(D, bits)
-        for c in cs:
-            err = abs(root - Fraction(c.p, c.q))
-            assert err.certainly_below(Fraction(1, c.q * c.q))
+        for _, p, q, _, _ in cs:
+            err = abs(root - Fraction(p, q))
+            assert err.certainly_below(Fraction(1, q * q))
 
 
 def test_pell_value_stream_matches_direct_computation():
@@ -405,4 +405,3 @@ def test_fundamental_pell_matches_sympy_diop_dn():
 def test_expansion_dataclass_shape():
     exp = cf_sqrt(33)
     assert isinstance(exp, CFExpansion)
-    assert isinstance(convergents(33, 1)[0], Convergent)
