@@ -34,7 +34,6 @@ from .surd import (
     DEFAULT_WORD_CAP,
     ResourceLimitError,
     SquareInputError,
-    _digit_budget_bits,
     cf_sqrt,
     fundamental_pell,
     is_perfect_square,
@@ -132,14 +131,7 @@ def _run_cf_period(args, out: list[str]) -> int:
 
 def _run_cf_pell(args, out: list[str]) -> int:
     fmt = _format(args, "text", "csv", "json")
-    sol = fundamental_pell(args.D)
-    # Before any decimal conversion, which would cost more than the
-    # solution itself.
-    if sol.X.bit_length() > _digit_budget_bits(args.digit_budget):
-        raise ResourceLimitError(
-            f"X for D={args.D} has {sol.X.bit_length()} bits, "
-            f"over the {args.digit_budget}-digit budget"
-        )
+    sol = fundamental_pell(args.D, args.digit_budget)
     columns, values = ("D", "X", "Y", "value"), (args.D, sol.X, sol.Y, sol.value)
     if fmt == "text":
         columns, values = columns[1:], values[1:]

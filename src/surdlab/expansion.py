@@ -237,7 +237,9 @@ def error_table(
     M, series, series_bases = _integer_terms(approx.series_form)
     bases, cut = source_bases + series_bases, len(source)
     a, lq = approx.lead_coefficient.numerator, approx.lead_coefficient.denominator
-    log_rate = math.log2(float(approx.error_base))
+    # Each log apart, so that bases past the float range stay finite.
+    base = approx.error_base
+    log_rate = math.log2(base.numerator) - math.log2(base.denominator)
     rows: list[tuple[int, Bounds, Bounds | None]] = []
     prev = None
     for n in n_range:

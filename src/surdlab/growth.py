@@ -23,6 +23,7 @@ from .surd import (
     DEFAULT_DIGIT_BUDGET,
     PellSolution,
     ResourceLimitError,
+    _checked,
     _digit_budget_bits,
     _least_convergent_below,
     is_perfect_square,
@@ -69,10 +70,7 @@ def bounded_pell_solutions(
             break
         g = 1
         while g * g * abs(value) <= C - 1 and not past_cap(g * q):
-            X, Y, v = g * p, g * q, g * g * value
-            if X * X - D * Y * Y != v:
-                raise AssertionError("pell value identity violated")
-            out.append(PellSolution(X, Y, v))
+            out.append(_checked(D, g * p, g * q, g * g * value))
             g += 1
     out.sort(key=lambda s: s.Y)
     return PellScan(tuple(out), C * C <= D)

@@ -12,9 +12,10 @@ palindrome.
 
 No other module runs the recurrence.  Here ``_midpoint_walk`` stops at
 the palindrome midpoint of the period, which fixes r and the whole word
-(``fundamental_pell``, ``cf_sqrt``, ``period_length`` and, through it,
-family rows), or earlier at the least Y of |X**2 - D*Y**2| < C
-(``_least_convergent_below``, behind the minimal-Y family scan);
+(``cf_sqrt``, ``period_length`` and, through it, family rows), or earlier
+at the least Y of |X**2 - D*Y**2| < C (``_least_convergent_below``,
+behind the minimal-Y family scan and ``fundamental_pell``, the case
+C = 2), or once the answer is surely over its digit budget;
 ``pell_value_stream`` builds the convergents with their Pell values, and
 ``cf_stream`` is the public per-step view of the state.
 """
@@ -27,7 +28,6 @@ from collections.abc import Iterator
 from itertools import count
 
 DEFAULT_WORD_CAP = 10**6
-DEFAULT_PERIOD_CAP = 10**5
 DEFAULT_DIGIT_BUDGET = 10**5
 
 
@@ -36,7 +36,7 @@ class SquareInputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured resource cap (period length, digit budget) was hit."""
+    """A configured resource cap (such as the digit budget) was hit."""
 
 
 def _digit_budget_bits(digit_budget: int) -> int:
@@ -83,7 +83,7 @@ def cf_stream(D: int) -> Iterator[tuple[int, int, int, int]]:
         a = (a0 + m) // d
 
 
-def _midpoint_walk(D: int, keep: int = 0, bounded: bool = False, below: int = 0,
+def _midpoint_walk(D: int, keep: int = 0, below: int = 0,
                    cap_bits: int = 0) -> tuple[int, int | None, list[int] | None, int]:
     """Walk sqrt(D) to the palindrome midpoint of its period.
 
@@ -93,8 +93,7 @@ def _midpoint_walk(D: int, keep: int = 0, bounded: bool = False, below: int = 0,
     first k >= 0 with d_{k+1} == d_k (r = 2k + 1; k = 0 is r = 1);
     m_1 = a0 > m_0 makes k = 0 safe in the first test.  ``half`` is kept
     iff r <= ``keep`` and is None otherwise, so it never holds more than
-    keep // 2 quotients.  A ``bounded`` walk stops once r > ``keep`` is
-    certain, after at most about keep / 2 steps, and returns r = None.
+    keep // 2 quotients.
 
     While the half is kept the walk also stops early, with r = None:
     - at the first k >= 1 with d_k < ``below``, returning
@@ -103,7 +102,9 @@ def _midpoint_walk(D: int, keep: int = 0, bounded: bool = False, below: int = 0,
       max(sum(bitlen(a_i) - 1), j // 2) over a_1 .. a_j, a lower bound on
       log2 q_j, reaches ``cap_bits``; ``half`` is then None.  The bound is
       taken at checkpoints, not per step, so the walk may run a little
-      past that j; it needs keep >= 4 * cap_bits.
+      past that j.  It needs keep >= 4 * cap_bits: the last checkpoint
+      is at j = keep // 2, where j // 2 >= cap_bits, so the walk gives
+      up after about 2 * cap_bits steps at most.
     Otherwise ``d`` is the last d_k accepted.  Neither test runs once the
     half is dropped, so ``period_length`` (keep = 0) pays for neither
     after step 0.
@@ -138,9 +139,7 @@ def _midpoint_walk(D: int, keep: int = 0, bounded: bool = False, below: int = 0,
                 bits = max(sum(map(int.bit_length, half)) - len(half), (k + 1) // 2)
                 if bits >= cap_bits:
                     return a0, None, None, d
-                h_max = min(h_keep, k + 1 + cap_bits - bits)
-            elif bounded:
-                return a0, None, None, d
+                h_max = min(h_keep - 1, k + 1 + cap_bits - bits)
             else:
                 half = None
     return a0, r, half if r <= keep else None, d
@@ -170,7 +169,10 @@ def period_length(D: int) -> int:
 
 def period_bound_ratio(D: int, r: int) -> float:
     """Observed ratio r / (sqrt(D) * ln(D)) of the period length r of sqrt(D)."""
-    return r / (math.sqrt(D) * math.log(D))
+    try:
+        return r / (math.sqrt(D) * math.log(D))
+    except OverflowError:  # D past the float range
+        return r / math.isqrt(D) / math.log(D)
 
 
 def pell_value_stream(D: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -242,20 +244,23 @@ def _checked(D: int, p: int, q: int, value: int) -> PellSolution:
     return PellSolution(p, q, value)
 
 
-def fundamental_pell(D: int, period_cap: int = DEFAULT_PERIOD_CAP) -> PellSolution:
+def fundamental_pell(D: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> PellSolution:
     """Minimal solution of |X**2 - D*Y**2| = 1: the convergent at r-1.
 
-    It is built once from the half word walked to the palindrome midpoint
-    (``_pell_from_half``); the value is (-1)**r.
-
-    Refuses (``ResourceLimitError``) when r - 1 > ``period_cap``, since
-    the solution then has on the order of ``period_cap`` digits; the walk
-    gives up after at most about ``period_cap / 2`` steps.
+    As d_k = 1 first at k = r, it is the least convergent with
+    |X**2 - D*Y**2| < 2, which ``_least_convergent_below`` builds once
+    from the half word; the value is (-1)**r.  The period may be of any
+    length: X over the digit budget is refused (``ResourceLimitError``),
+    before X is built once the walk's bound on Y passes the budget, which
+    takes at most about 2 * bits(budget) steps.
     """
-    a0, r, half, _ = _midpoint_walk(D, period_cap + 1, bounded=True)
-    if half is None:
-        raise ResourceLimitError(f"period of sqrt({D}) exceeds cap {period_cap}")
-    return _checked(D, *_pell_from_half(a0, r, half), -1 if r % 2 else 1)
+    bits = _digit_budget_bits(digit_budget)
+    sol = _least_convergent_below(D, 2, (1 << bits) - 1)
+    if sol is None or sol.X.bit_length() > bits:
+        size = f"more than {bits}" if sol is None else sol.X.bit_length()
+        raise ResourceLimitError(
+            f"X for D={D} has {size} bits, over the {digit_budget}-digit budget")
+    return sol
 
 
 def _least_convergent_below(D: int, C: int, y_max: int) -> PellSolution | None:
@@ -272,15 +277,15 @@ def _least_convergent_below(D: int, C: int, y_max: int) -> PellSolution | None:
     q_j never decreases in j, and log2 q_j >= max(sum(bitlen(a_i) - 1),
     j // 2) over a_1 .. a_j, from q_j >= a_j*q_{j-1} and q_j >= 2*q_{j-2}.
     With b = bitlen(y_max), the walk gives up once that bound reaches b,
-    and no convergent whose bound reaches b is built.  So a built q_j, at
-    most prod(a_i + 1), has fewer than 3*b bits, and about 2*b at most in
+    after at most about 2*b steps whatever the period, and no convergent
+    whose bound reaches b is built.  So a built q_j, at most
+    prod(a_i + 1), has fewer than 3*b bits, and about 2*b at most in
     practice (2*b + 2 over every non-square D < 20,000).
     """
     if C < 2:
         return None
     cap_bits = y_max.bit_length()
-    a0, r, half, d = _midpoint_walk(D, 4 * cap_bits, bounded=True, below=C,
-                                    cap_bits=cap_bits)
+    a0, r, half, d = _midpoint_walk(D, 4 * cap_bits, below=C, cap_bits=cap_bits)
     if half is None:
         return None
     bits = sum(map(int.bit_length, half)) - len(half)

@@ -17,6 +17,7 @@ import pytest
 import surdlab
 import surdlab.cli as cli
 import surdlab.harness as harness
+import surdlab.surd as surd
 from surdlab.cli import main
 
 
@@ -57,6 +58,11 @@ def test_cf_period(capsys):
     assert code == 0
     assert "r: 4" in out
     assert "sqrt(D) ln D" in out
+
+    # sqrt(D) is past the float range.
+    code, out, _ = run(capsys, "cf", "period", str(10**400 + 2))
+    assert code == 0
+    assert "r: 2" in out
 
 
 def test_cf_pell(capsys):
@@ -198,6 +204,12 @@ def test_expand_sqrt(capsys):
     decay = float(lines[2].split(",")[3])
     assert 7 < decay < 9
     assert "f1 = 16^n + (1/4)*4^n" in err
+
+    # The error base, 5*10^599, is past the float range.
+    code, out, _ = run(capsys, "expand", "sqrt", "--form", f"{10**400}^n + 2^n", "--j", "0",
+                       "--n-range", "1..2")
+    assert code == 0
+    assert len(out.splitlines()) == 3
     assert "error_base = 8" in err
 
 
@@ -460,8 +472,13 @@ def test_digit_budget_only_where_read(capsys, argv):
     assert "--digit-budget" in capsys.readouterr().err
 
 
-def test_cf_pell_digit_budget_is_exit_3(capsys):
-    # D = 2*4^18 + 1: r = 65,096 and X has ~34,000 digits.
+def test_cf_pell_digit_budget_is_exit_3(capsys, monkeypatch):
+    # D = 2*4^18 + 1: r = 65,096 and X has ~34,000 digits.  The walk's
+    # bound on Y passes the budget first, so X is never built.
+    def no_build(*args):
+        raise AssertionError("X must not be built past the budget")
+
+    monkeypatch.setattr(surd, "_pell_from_half", no_build)
     code, out, err = run(capsys, "cf", "pell", "137438953473", "--digit-budget", "10")
     assert code == 3
     assert out == ""

@@ -227,6 +227,18 @@ def test_error_table_equals_fraction_oracle(text, j):
     _assert_table_matches_oracle(approx, range(30, -1, -3))
 
 
+def test_error_table_default_bits_past_the_float_range():
+    # error_base = 5*10^599 has no float; the default precision is still
+    # n*log2(error_base) + 96 bits, here floor(log2(error_base**n)) + 96.
+    approx = sqrt_approximation(parse_form(f"{10**400}^n + 2^n"), 0)
+    base = 5 * 10**599
+    assert approx.error_base == base
+    for n in (1, 2, 3):
+        bits = (base**n).bit_length() - 1 + 96
+        assert error_table(approx, range(n, n + 1)) == error_table(approx, range(n, n + 1), bits)
+        _assert_table_matches_oracle(approx, range(n, n + 1), bits)
+
+
 def test_error_table_rows_straddling_zero():
     # At bits <= 8 the two brackets of 2*4^n + 1 overlap at n = 6: the
     # enclosure straddles zero, so lo is 0 and the row has no decay.

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surdlab import surd
 from surdlab.forms import eval_int
 from surdlab.harness import _default_h_grid, _default_vw_grid
 from surdlab.intervals import sqrt_interval
@@ -25,6 +26,7 @@ from surdlab.surd import (
     PellSolution,
     ResourceLimitError,
     SquareInputError,
+    _digit_budget_bits,
     cf_sqrt,
     cf_stream,
     fundamental_pell,
@@ -329,11 +331,6 @@ def test_fundamental_pell_minimality_sweep():
             assert abs((X + 1) ** 2 - D * Y * Y) != 1
 
 
-def test_fundamental_pell_respects_period_cap():
-    with pytest.raises(ResourceLimitError):
-        fundamental_pell(1021, period_cap=3)  # r(1021) = 49
-
-
 def linear_pell(D: int) -> tuple[int, int, int, int]:
     """(p_{r-1}, q_{r-1}, (-1)**r, r) built one quotient at a time.
 
@@ -364,18 +361,46 @@ def test_fundamental_pell_matches_linear_oracle_up_to_5000():
     assert fundamental_pell(27) == PellSolution(26, 5, 1)
 
 
-@pytest.mark.parametrize(
-    "D, r", [(3, 2), (6, 2), (41, 3), (33, 4), (19, 6), (181, 21), (1019, 26), (1021, 49)]
-)
-def test_fundamental_pell_cap_boundary(D, r):
-    assert len(plain_period_word(D)) == r
-    assert fundamental_pell(D, period_cap=r - 1) == fundamental_pell(D)
-    with pytest.raises(ResourceLimitError, match=f"exceeds cap {r - 2}"):
-        fundamental_pell(D, period_cap=r - 2)
+@pytest.mark.parametrize("D, r", [
+    (101, 1), (3, 2), (6, 2), (41, 3), (33, 4), (19, 6), (181, 21), (1019, 26), (1021, 49),
+])
+def test_fundamental_pell_digit_budget_boundary(D, r):
+    # The least budget whose bits hold X answers; one digit less refuses.
+    X, Y, value, period = linear_pell(D)
+    assert period == r
+    budget = next(b for b in count(1) if X.bit_length() <= _digit_budget_bits(b))
+    assert fundamental_pell(D, digit_budget=budget) == PellSolution(X, Y, value)
+    if budget > 1:
+        with pytest.raises(ResourceLimitError, match=f"over the {budget - 1}-digit budget"):
+            fundamental_pell(D, digit_budget=budget - 1)
+    else:
+        assert D in (101, 3, 6)
 
 
-def test_fundamental_pell_cap_zero_allows_period_one():
-    assert fundamental_pell(101, period_cap=0) == PellSolution(10, 1, -1)
+def test_fundamental_pell_has_no_period_cap():
+    # r = 160,838 and X has 82,704 digits, inside the default budget.
+    D = 996_781_516_149
+    r = period_length(D)
+    assert r == 160_838
+    sol = fundamental_pell(D)
+    assert sol.value == (-1) ** r
+    assert 10**82_703 <= sol.X < 10**82_704
+
+
+def test_fundamental_pell_refusal_walk_is_bounded(monkeypatch):
+    # 2*4^n + 1 has a period far too long to walk here; the digit budget
+    # ends the walk within 2 * bits(budget) steps, before X is built.
+    def steps(limit):
+        def counted():
+            yield from range(limit)
+            raise AssertionError(f"walk past {limit} steps")
+        return counted
+
+    for budget in range(1, 40):
+        monkeypatch.setattr(surd, "count", steps(2 * _digit_budget_bits(budget)))
+        for n in range(100, 140):
+            with pytest.raises(ResourceLimitError, match="more than"):
+                fundamental_pell(2 * 4**n + 1, budget)
 
 
 def test_fundamental_pell_anchor_matches_linear_oracle():
