@@ -9,6 +9,8 @@ argparse parser of the one command that argv names, and the full tree
 (``build_parser``) only for help and errors above that command or for
 arguments that command does not take.  It then calls the command's run
 function and writes the output it collected once, to --out or stdout.
+A run function imports the modules its command uses when it runs, so the
+``cf`` commands load only ``surd`` and ``harness``.
 """
 
 from __future__ import annotations
@@ -17,23 +19,10 @@ import argparse
 import sys
 
 from . import harness
-from .expansion import (
-    decide_hypothesis,
-    error_table,
-    sqrt_approximation,
-)
-from .forms import FormSyntaxError, eval_int, format_form, parse_form
-from .growth import (
-    bounded_pell_solutions,
-    denominator_growth,
-    min_solution_growth,
-    partial_quotient_profile,
-)
 from .surd import (
     DEFAULT_DIGIT_BUDGET,
     DEFAULT_WORD_CAP,
     ResourceLimitError,
-    SquareInputError,
     cf_sqrt,
     fundamental_pell,
     is_perfect_square,
@@ -140,6 +129,8 @@ def _run_cf_pell(args, out: list[str]) -> int:
 
 
 def _run_pell_scan(args, out: list[str]) -> int:
+    from .forms import eval_int, parse_form
+    from .growth import bounded_pell_solutions, min_solution_growth
     if (args.D is None) == (args.form is None):
         raise ValueError("pell scan needs exactly one of --D or --form")
     fmt = _format(args, "csv", "json")
@@ -200,6 +191,8 @@ def _run_pell_scan(args, out: list[str]) -> int:
 
 
 def _run_growth_denom(args, out: list[str]) -> int:
+    from .forms import parse_form
+    from .growth import denominator_growth
     form = parse_form(args.form)
     records = denominator_growth(form, args.b, _parse_n_range(args.n))
     out.append(harness.emit_table(
@@ -210,6 +203,8 @@ def _run_growth_denom(args, out: list[str]) -> int:
 
 
 def _run_profile_pq(args, out: list[str]) -> int:
+    from .forms import parse_form
+    from .growth import partial_quotient_profile
     form = parse_form(args.form)
     fmt = _format(args, "csv", "json")
     columns = ["n", "D", "prefix_len", "max_partial_quotient"]
@@ -234,6 +229,8 @@ def _run_profile_pq(args, out: list[str]) -> int:
 
 
 def _run_hypothesis(args, out: list[str]) -> int:
+    from .expansion import decide_hypothesis
+    from .forms import format_form, parse_form
     form = parse_form(args.form)
     report = decide_hypothesis(form)
     fmt = _format(args, "text", "json")
@@ -258,6 +255,8 @@ def _run_hypothesis(args, out: list[str]) -> int:
 
 
 def _run_expand(args, out: list[str]) -> int:
+    from .expansion import error_table, sqrt_approximation
+    from .forms import format_form, parse_form
     form = parse_form(args.form)
     approx = sqrt_approximation(form, args.j)
     print(
@@ -288,6 +287,7 @@ def _run_expand(args, out: list[str]) -> int:
 
 
 def _run_family(args, out: list[str]) -> int:
+    from .forms import parse_form
     if (args.preset is None) == (args.form is None):
         raise ValueError("family needs exactly one of --preset or --form")
     if args.preset:
@@ -455,9 +455,6 @@ def main(argv: list[str] | None = None) -> int:
     out: list[str] = []
     try:
         code = run(args, out)
-    except (FormSyntaxError, SquareInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

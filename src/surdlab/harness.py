@@ -18,34 +18,26 @@ and start methods.
 
 ``emit_table`` turns columns and rows of raw values into CSV, JSON or
 ``label: value`` text; every CLI subcommand prints through it, and
-``emit`` is its entry point for family records.
+``emit`` is its entry point for family records.  ``forms`` and ``json``
+are imported where they are used, so a command that only emits, such as
+``cf sqrt``, loads neither.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 
-from .forms import (
-    PowerSumForm,
-    add,
-    constant,
-    eval_exact,
-    eval_int,
-    mul,
-    parse_form,
-    scale,
-)
 from .surd import (
     DEFAULT_WORD_CAP,
     cf_sqrt,
     is_perfect_square,
     period_length,
 )
+# PowerSumForm, in annotations only, is forms.PowerSumForm.
 
 PRESETS: dict[str, tuple[str, int, int]] = {
     # Families with known period behaviour, ready to run by name:
@@ -84,6 +76,7 @@ FamilyRecord = namedtuple("FamilyRecord", FAMILY_COLUMNS, defaults=("",))
 
 
 def _family_row(form: PowerSumForm, n: int, word_cap: int) -> FamilyRecord:
+    from .forms import eval_exact
     value = eval_exact(form, n)
     if value.denominator != 1:
         return FamilyRecord(n, None, False, None, None, None, None, "non-integer")
@@ -218,6 +211,7 @@ class IdentityReport(namedtuple("IdentityReport", "checks failures")):
 
 
 def _default_h_grid() -> list[PowerSumForm]:
+    from .forms import parse_form
     return [
         parse_form("2^n + 1"),
         parse_form("3^n"),
@@ -228,6 +222,7 @@ def _default_h_grid() -> list[PowerSumForm]:
 
 
 def _default_vw_grid() -> list[tuple[PowerSumForm, PowerSumForm]]:
+    from .forms import parse_form
     return [
         (parse_form("2^n"), parse_form("3^n")),
         (parse_form("1"), parse_form("2^n")),
@@ -249,6 +244,7 @@ def run_identity_checks(
     [v(n)*w(n); {v(n), 2*v(n)*w(n)}].  Any mismatch is reported with the
     offending family member and n.
     """
+    from .forms import add, constant, eval_int, mul, scale
     checks = 0
     failures: list[str] = []
 
@@ -321,6 +317,7 @@ def emit_table(
     line unless ``indent`` is given.  Every line ends in a newline.
     """
     if format == "json":
+        import json
         objects = [dict(zip(columns, row)) for row in rows]
         payload = objects if wrap is None else wrap(objects)
         return json.dumps(payload, indent=indent) + "\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import multiprocessing
@@ -837,6 +838,61 @@ def test_cli_import_leaves_multiprocessing_out(module):
     # -S: without site, whose .pth files may import typing themselves.
     proc = _python("-S", "-c", f"import sys, surdlab.cli; print({module!r} in sys.modules)")
     assert proc.stdout == b"False\n", proc.stderr
+
+
+# Runs the CLI on argv, then writes to stderr the surdlab modules and the
+# heavier stdlib modules it loaded.
+_LOADED_BY = (
+    "import sys\n"
+    "from surdlab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print((sorted(m for m in sys.modules if m.partition('.')[0] == 'surdlab'),\n"
+    "       [m for m in ('fractions', 'decimal', 'json', 'multiprocessing') if m in sys.modules]),\n"
+    "      file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("argv", ["cf sqrt 129", "cf period 129", "cf pell 129",
+                                  "cf sqrt 129 --format json"])
+def test_cf_commands_load_only_surd_and_the_emitter(argv):
+    _, code, out_sha, _ = next(case for case in GOLDEN_MATRIX if case[0] == argv)
+    proc = _python("-S", "-c", _LOADED_BY, *shlex.split(argv))
+    assert (proc.returncode, _digest(proc.stdout.decode())) == (code, out_sha), proc.stderr
+    modules, stdlib = ast.literal_eval(proc.stderr.decode())
+    assert modules == ["surdlab", "surdlab.cli", "surdlab.harness", "surdlab.surd"]
+    # json only where json is printed.
+    assert stdlib == (["json"] if "json" in argv else [])
+
+
+def test_import_surdlab_loads_no_submodule():
+    proc = _python("-S", "-c", "import sys, surdlab; "
+                   "print([m for m in sys.modules if m.startswith('surdlab.')])")
+    assert proc.stdout == b"[]\n", proc.stderr
+
+
+README_NAMES = ["cf_sqrt", "cf_stream", "decide_hypothesis", "eval_int", "fundamental_pell",
+                "min_solution_growth", "parse_form", "pell_value_stream", "period_length",
+                "sqrt_approximation"]
+
+
+@pytest.mark.parametrize("lookup", ["from surdlab import {0} as value",
+                                    "import surdlab; value = surdlab.{0}"])
+@pytest.mark.parametrize("name", README_NAMES)
+def test_readme_names_resolve_in_a_fresh_interpreter(name, lookup):
+    value = getattr(surdlab, name)
+    assert value is getattr(sys.modules[value.__module__], name)
+    script = lookup.format(name) + "; print(value.__module__, value.__qualname__)"
+    proc = _python("-S", "-c", script)
+    assert proc.stdout.decode() == f"{value.__module__} {value.__qualname__}\n", proc.stderr
+
+
+def test_unknown_package_names_raise_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        surdlab.nope
+    proc = _python("-S", "-c", "from surdlab import surd, expansion; "
+                   "print(surd.__name__, expansion.__name__)")
+    assert proc.stdout == b"surdlab.surd surdlab.expansion\n", proc.stderr
 
 
 MIXED_FAMILY = ["family", "--form", "(1/2)*4^n + 2^n - 8", "--n", "0..14", "--word-cap", "20"]
