@@ -133,7 +133,9 @@ class SqrtApprox(namedtuple("SqrtApprox",
     ``series_form`` is the zero form for single-term sources (the root is
     then exactly ``sqrt(lead_coefficient * B**n)``), and
     ``error_base`` is None in that case; otherwise the error at ``n`` is
-    O(``error_base**-n``).
+    O(``error_base**-n``): a guaranteed rate, not the observed decay,
+    which can be far faster (``1000^n + 2^n``, j = 0: ~1.56e13 per step
+    against an ``error_base`` of 2.5e8).
     """
 
     __slots__ = ()
@@ -226,8 +228,10 @@ def error_table(
     ``f1(n)/B**(k*n)`` is ``S/(M*B**(k*n))`` with ``S`` an integer, so every
     endpoint is an integer over ``den = q*lq*M*B**(k*n) << bits`` and no
     row takes a big gcd.  ``bits`` forces the precision of every row; by
-    default it is ``max(96, int(n*log2(error_base)) + 96)``.  A range that
-    reaches a negative n is refused before any row, single-term forms too.
+    default it is ``max(96, int(n*log2(error_base)) + 96)``, priced on the
+    guaranteed rate, so an error that decays faster can leave ``lo`` at 0.
+    A range that reaches a negative n is refused before any row,
+    single-term forms too.
     """
     if n_range and min(n_range[0], n_range[-1]) < 0:
         raise ValueError("evaluation at negative n is not defined")

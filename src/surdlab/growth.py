@@ -24,8 +24,8 @@ from .surd import (
     PellSolution,
     ResourceLimitError,
     _checked,
-    _digit_budget_bits,
     _least_convergent_below,
+    _y_max,
     is_perfect_square,
     pell_value_stream,
 )
@@ -59,17 +59,13 @@ def bounded_pell_solutions(
     against its defining equation.
     """
     _check_box(C, y_limit)
-    bits_cap = _digit_budget_bits(digit_budget)
-
-    def past_cap(y: int) -> bool:
-        return y > y_limit or y.bit_length() > bits_cap
-
+    y_max = _y_max(digit_budget, y_limit)
     out: list[PellSolution] = []
     for _, p, q, value, _ in pell_value_stream(D):
-        if past_cap(q):
+        if q > y_max:
             break
         g = 1
-        while g * g * abs(value) <= C - 1 and not past_cap(g * q):
+        while g * g * abs(value) <= C - 1 and g * q <= y_max:
             out.append(_checked(D, g * p, g * q, g * g * value))
             g += 1
     out.sort(key=lambda s: s.Y)
@@ -116,10 +112,7 @@ def min_solution_growth(
     """
     _check_box(C, y_limit)
     report = decide_hypothesis(f)
-    # Y is within the y-limit and the digit budget iff Y <= y_max.
-    y_max = (1 << _digit_budget_bits(digit_budget)) - 1
-    if y_limit is not None:
-        y_max = min(y_max, y_limit)
+    y_max = _y_max(digit_budget, y_limit)
     records: list[MinSolutionRecord] = []
     skipped: list[tuple[int, str]] = []
     for n in n_range:

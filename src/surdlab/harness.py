@@ -115,15 +115,15 @@ def run_family(config: ExperimentConfig) -> list[FamilyRecord]:
         done = _walk_with_children(tasks, workers - 1)
     else:
         done = _walk(tasks, itertools.count().__next__)
-    done.sort(key=lambda item: item[0], reverse=True)
-    return [record for _, record in done]
+    done.sort(key=lambda rec: rec.n)
+    return done
 
 
-def _walk(tasks: list, claim: Callable[[], int]) -> list[tuple[int, FamilyRecord]]:
+def _walk(tasks: list, claim: Callable[[], int]) -> list[FamilyRecord]:
     """Walk the rows ``claim`` hands out until it runs past the last."""
     done = []
     while (i := claim()) < len(tasks):
-        done.append((i, _family_row(*tasks[i])))
+        done.append(_family_row(*tasks[i]))
     return done
 
 
@@ -146,7 +146,7 @@ def _child_walk(tasks: list, counter, conn) -> None:
     conn.close()
 
 
-def _walk_with_children(tasks: list, children: int) -> list[tuple[int, FamilyRecord]]:
+def _walk_with_children(tasks: list, children: int) -> list[FamilyRecord]:
     """Walk rows here and in ``children`` processes; merge what they send."""
     import multiprocessing
 
@@ -232,11 +232,7 @@ def _default_vw_grid() -> list[tuple[PowerSumForm, PowerSumForm]]:
     ]
 
 
-def run_identity_checks(
-    n_max: int = 10,
-    h_grid: list[PowerSumForm] | None = None,
-    vw_grid: list[tuple[PowerSumForm, PowerSumForm]] | None = None,
-) -> IdentityReport:
+def run_identity_checks(n_max: int = 10) -> IdentityReport:
     """Verify the two constant-period families against the CF engine.
 
     For h with positive coefficients, sqrt(h(n)**2 + 1) expands as
@@ -248,7 +244,7 @@ def run_identity_checks(
     checks = 0
     failures: list[str] = []
 
-    for h in h_grid if h_grid is not None else _default_h_grid():
+    for h in _default_h_grid():
         f = add(mul(h, h), constant(1))
         for n in range(1, n_max + 1):
             checks += 1
@@ -264,7 +260,7 @@ def run_identity_checks(
                     f"[{exp.a0}; {exp.period}]"
                 )
 
-    for v, w in vw_grid if vw_grid is not None else _default_vw_grid():
+    for v, w in _default_vw_grid():
         f = add(mul(mul(v, v), mul(w, w)), scale(w, 2))
         for n in range(1, n_max + 1):
             checks += 1

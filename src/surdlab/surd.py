@@ -15,7 +15,7 @@ the palindrome midpoint of the period, which fixes r and the whole word
 (``cf_sqrt``, ``period_length`` and, through it, family rows), or earlier
 at the least Y of |X**2 - D*Y**2| < C (``_least_convergent_below``,
 behind the minimal-Y family scan and ``fundamental_pell``, the case
-C = 2), or once the answer is surely over its digit budget;
+C = 2), or once the answer is surely over its bound on Y;
 ``pell_value_stream`` builds the convergents with their Pell values, and
 ``cf_stream`` is the public per-step view of the state.
 """
@@ -42,6 +42,12 @@ class ResourceLimitError(RuntimeError):
 def _digit_budget_bits(digit_budget: int) -> int:
     """Bit length past which an integer surely exceeds ``digit_budget`` digits."""
     return int(digit_budget * math.log2(10)) + 1
+
+
+def _y_max(digit_budget: int, y_limit: int | None = None) -> int:
+    """Largest Y allowed by the digit budget and, if given, by ``y_limit``."""
+    y_max = (1 << _digit_budget_bits(digit_budget)) - 1
+    return y_max if y_limit is None else min(y_max, y_limit)
 
 
 def is_perfect_square(n: int) -> bool:
@@ -83,8 +89,8 @@ def cf_stream(D: int) -> Iterator[tuple[int, int, int, int]]:
         a = (a0 + m) // d
 
 
-def _midpoint_walk(D: int, keep: int = 0, below: int = 0,
-                   cap_bits: int = 0) -> tuple[int, int | None, list[int] | None, int]:
+def _midpoint_walk(D: int, keep: int = 0, below: int = 0
+                   ) -> tuple[int, int | None, list[int] | None, int]:
     """Walk sqrt(D) to the palindrome midpoint of its period.
 
     Returns ``(a0, r, half, d)`` with ``half = [a_1, ..., a_h]``,
@@ -95,27 +101,17 @@ def _midpoint_walk(D: int, keep: int = 0, below: int = 0,
     iff r <= ``keep`` and is None otherwise, so it never holds more than
     keep // 2 quotients.
 
-    While the half is kept the walk also stops early, with r = None:
-    - at the first k >= 1 with d_k < ``below``, returning
-      ``half = [a_1, ..., a_{k-1}]`` and ``d = d_k``;
-    - with ``cap_bits``, once d_1 .. d_{j} are all >= ``below`` and
-      max(sum(bitlen(a_i) - 1), j // 2) over a_1 .. a_j, a lower bound on
-      log2 q_j, reaches ``cap_bits``; ``half`` is then None.  The bound is
-      taken at checkpoints, not per step, so the walk may run a little
-      past that j.  It needs keep >= 4 * cap_bits: the last checkpoint
-      is at j = keep // 2, where j // 2 >= cap_bits, so the walk gives
-      up after about 2 * cap_bits steps at most.
-    Otherwise ``d`` is the last d_k accepted.  Neither test runs once the
-    half is dropped, so ``period_length`` (keep = 0) pays for neither
-    after step 0.
+    With ``below`` the walk stops early, with r = None: at the first
+    k >= 1 with d_k < ``below``, returning ``half = [a_1, ..., a_{k-1}]``
+    and ``d = d_k``, or with ``half = None`` once the half would hold more
+    than keep // 2 quotients, so it walks at most keep // 2 + 1 steps.
+    Without ``below`` the half is dropped there and the walk goes on to
+    r, so ``period_length`` (keep = 0) pays for neither test after step 0.
     """
     a0 = _check_surd(D)
     m, d, d_prev, a = 0, 1, D, a0
     half: list[int] | None = []
     h_keep = keep // 2
-    # The half grows freely below h_max; with a cap, h_max < h_keep marks
-    # the next checkpoint of the cap bound.
-    h_max = min(h_keep, cap_bits) if cap_bits else h_keep
     for k in count():
         m_next = d * a - m
         if m_next == m:
@@ -131,15 +127,10 @@ def _midpoint_walk(D: int, keep: int = 0, below: int = 0,
             # r >= 2k + 2 from here on.
             if d < below:
                 return a0, None, half, d
-            if k < h_max:
+            if k < h_keep:
                 half.append(a)
-            elif k < h_keep:
-                # A checkpoint of the cap bound, on q_{k+1}.
-                half.append(a)
-                bits = max(sum(map(int.bit_length, half)) - len(half), (k + 1) // 2)
-                if bits >= cap_bits:
-                    return a0, None, None, d
-                h_max = min(h_keep - 1, k + 1 + cap_bits - bits)
+            elif below:
+                return a0, None, None, d
             else:
                 half = None
     return a0, r, half if r <= keep else None, d
@@ -250,12 +241,12 @@ def fundamental_pell(D: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> PellSo
     As d_k = 1 first at k = r, it is the least convergent with
     |X**2 - D*Y**2| < 2, which ``_least_convergent_below`` builds once
     from the half word; the value is (-1)**r.  The period may be of any
-    length: X over the digit budget is refused (``ResourceLimitError``),
-    before X is built once the walk's bound on Y passes the budget, which
-    takes at most about 2 * bits(budget) steps.
+    length: X over the digit budget is refused (``ResourceLimitError``);
+    with b = bits(budget), a refusal walks at most 2*b steps and builds
+    nothing whose bound on Y passes the budget.
     """
     bits = _digit_budget_bits(digit_budget)
-    sol = _least_convergent_below(D, 2, (1 << bits) - 1)
+    sol = _least_convergent_below(D, 2, _y_max(digit_budget))
     if sol is None or sol.X.bit_length() > bits:
         size = f"more than {bits}" if sol is None else sol.X.bit_length()
         raise ResourceLimitError(
@@ -276,16 +267,17 @@ def _least_convergent_below(D: int, C: int, y_max: int) -> PellSolution | None:
 
     q_j never decreases in j, and log2 q_j >= max(sum(bitlen(a_i) - 1),
     j // 2) over a_1 .. a_j, from q_j >= a_j*q_{j-1} and q_j >= 2*q_{j-2}.
-    With b = bitlen(y_max), the walk gives up once that bound reaches b,
-    after at most about 2*b steps whatever the period, and no convergent
-    whose bound reaches b is built.  So a built q_j, at most
-    prod(a_i + 1), has fewer than 3*b bits, and about 2*b at most in
-    practice (2*b + 2 over every non-square D < 20,000).
+    With b = bitlen(y_max), every j >= 2*b is over y_max, so the walk
+    keeps at most 2*b - 1 quotients (keep = 4*b - 2) and stops within
+    2*b steps.  That bound, taken once after the walk, is the one place
+    the cap applies: no convergent whose bound reaches b is built.  So a
+    built q_j, at most prod(a_i + 1), has fewer than 3*b bits, and about
+    2*b at most in practice (2*b + 2 over every non-square D < 20,000).
     """
     if C < 2:
         return None
-    cap_bits = y_max.bit_length()
-    a0, r, half, d = _midpoint_walk(D, 4 * cap_bits, below=C, cap_bits=cap_bits)
+    b = y_max.bit_length()
+    a0, r, half, d = _midpoint_walk(D, 4 * b - 2, below=C)
     if half is None:
         return None
     bits = sum(map(int.bit_length, half)) - len(half)
@@ -295,7 +287,7 @@ def _least_convergent_below(D: int, C: int, y_max: int) -> PellSolution | None:
         # The whole word a_1 .. a_{r-1} mirrors the half around a_h.
         j = r - 1
         bits = 2 * bits - (0 if r % 2 else half[-1].bit_length() - 1)
-    if max(bits, j // 2) >= cap_bits:
+    if max(bits, j // 2) >= b:
         return None
     if r is None:
         x, _, z, _ = _word_matrix(half, 0, j)

@@ -93,6 +93,18 @@ def test_scan_matches_brute_force_small():
             assert sorted(_tuples(got)) == sorted(_tuples(expected)), (D, C)
 
 
+@pytest.mark.parametrize("D, C", [(62, 3), (593, 24), (1022, 17), (1023, 5), (4095, 2)])
+def test_scan_cut_by_digit_budget_matches_brute_force(D, C):
+    # A 2-digit budget allows Y < 2**7, far below y_limit.  Each D has a
+    # solution at Y = 127 or at Y = 128 (1022 and 1023 through a multiple
+    # g*(p, q) with g > 1), so a cut one off either way changes the result.
+    assert C * C <= D and _digit_budget_bits(2) == 7
+    scan = bounded_pell_solutions(D, C, y_limit=10**12, digit_budget=2)
+    assert scan.complete
+    assert sorted(_tuples(scan.solutions)) == sorted(_tuples(brute_force_pell(D, C, 127)))
+    assert {s.Y for s in brute_force_pell(D, C, 128)} & {127, 128}
+
+
 def test_min_solution_growth_title_family():
     result = min_solution_growth(TITLE, 2, range(1, 7))
     assert (1, "square") in result.skipped  # f(1) = 9

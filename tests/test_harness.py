@@ -172,13 +172,12 @@ def test_identity_checks_pass_on_default_grids():
     assert report.checks == 100  # 5 h-forms + 5 (v, w) pairs, 10 n each
 
 
-def test_identity_checks_report_counterexamples():
+def test_identity_checks_report_counterexamples(monkeypatch):
     # A deliberately wrong family member: w = -1 breaks the identity.
-    report = run_identity_checks(
-        n_max=2,
-        h_grid=[],
-        vw_grid=[(parse_form("2^n"), parse_form("-1"))],
-    )
+    monkeypatch.setattr(harness, "_default_h_grid", lambda: [])
+    monkeypatch.setattr(harness, "_default_vw_grid",
+                        lambda: [(parse_form("2^n"), parse_form("-1"))])
+    report = run_identity_checks(n_max=2)
     assert not report.ok
     assert len(report.failures) == 2
     assert "expected" in report.failures[0]

@@ -387,20 +387,40 @@ def test_fundamental_pell_has_no_period_cap():
     assert 10**82_703 <= sol.X < 10**82_704
 
 
-def test_fundamental_pell_refusal_walk_is_bounded(monkeypatch):
-    # 2*4^n + 1 has a period far too long to walk here; the digit budget
-    # ends the walk within 2 * bits(budget) steps, before X is built.
-    def steps(limit):
-        def counted():
-            yield from range(limit)
-            raise AssertionError(f"walk past {limit} steps")
-        return counted
+def _count_to(limit):
+    """A stand-in for ``itertools.count`` that fails past ``limit`` steps."""
+    def counted():
+        yield from range(limit)
+        raise AssertionError(f"walk past {limit} steps")
+    return counted
 
+
+def test_fundamental_pell_refusal_walk_is_bounded(monkeypatch):
+    # 2*4^n + 1, 2^43 + 1 and 10^k + 3 have periods far too long to walk
+    # here; the digit budget ends the walk within 2 * bits(budget) steps,
+    # before X is built.
+    long_periods = [2 * 4**n + 1 for n in range(100, 140)]
+    long_periods += [2**43 + 1] + [10**k + 3 for k in (21, 25, 31, 41, 61)]
     for budget in range(1, 40):
-        monkeypatch.setattr(surd, "count", steps(2 * _digit_budget_bits(budget)))
-        for n in range(100, 140):
+        monkeypatch.setattr(surd, "count", _count_to(2 * _digit_budget_bits(budget)))
+        for D in long_periods:
             with pytest.raises(ResourceLimitError, match="more than"):
-                fundamental_pell(2 * 4**n + 1, budget)
+                fundamental_pell(D, budget)
+
+
+@pytest.mark.parametrize("keep", [1, 2, 3, 6, 7, 40])
+def test_below_walk_gives_up_past_the_kept_half(monkeypatch, keep):
+    # r(2*4^10 + 1) = 702 and d_k >= 2 for 0 < k < r, so a walk with
+    # below = 2 never hits: it stops with no half once it would keep more
+    # than keep // 2 quotients, after keep // 2 + 1 steps.
+    D = 2 * 4**10 + 1
+    r = period_length(D)
+    d = next(d_k for _, _, d_k, k in cf_stream(D) if k == keep // 2 + 1)
+    monkeypatch.setattr(surd, "count", _count_to(keep // 2 + 1))
+    assert surd._midpoint_walk(D, keep, below=2) == (math.isqrt(D), None, None, d)
+    monkeypatch.undo()
+    # Without below the same walk drops the half and goes on to r.
+    assert surd._midpoint_walk(D, keep)[:3] == (math.isqrt(D), r, None)
 
 
 def test_fundamental_pell_anchor_matches_linear_oracle():
