@@ -23,9 +23,9 @@ from .surd import (
     DEFAULT_DIGIT_BUDGET,
     DEFAULT_WORD_CAP,
     ResourceLimitError,
+    _radicand,
     cf_sqrt,
     fundamental_pell,
-    is_perfect_square,
     period_bound_ratio,
     period_length,
 )
@@ -154,8 +154,8 @@ def _run_pell_scan(args, out: list[str]) -> int:
     if args.all:
         rows = []
         for n in n_range:
-            D = eval_int(form, n)
-            if D <= 0 or is_perfect_square(D):
+            D, note = _radicand(eval_int(form, n))
+            if note:
                 print(f"# n={n} skipped", file=sys.stderr)
                 continue
             scan = bounded_pell_solutions(D, args.C, scan_y_limit, args.digit_budget)
@@ -391,7 +391,7 @@ _COMMANDS = {
         _STRICT,
     )),
     "identities": ("verify the constant-period identity families", _run_identities, (
-        ("--n-max", dict(type=int, default=10)),
+        ("--n-max", dict(type=_positive_int, default=10)),
     )),
 }
 

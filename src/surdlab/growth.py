@@ -25,8 +25,8 @@ from .surd import (
     ResourceLimitError,
     _checked,
     _least_convergent_below,
+    _radicand,
     _y_max,
-    is_perfect_square,
     pell_value_stream,
 )
 from .expansion import decide_hypothesis
@@ -104,8 +104,9 @@ def min_solution_growth(
     ``y_limit`` or the digit budget is skipped with the note "cap", and so
     is every row for C = 1.  C or ``y_limit`` below 1 raises ValueError.
 
-    Values of n where f(n) is a perfect square are skipped with a note
-    (the square root is rational there, so there is nothing to measure).
+    Values of n where sqrt(f(n)) has no period are skipped with the note
+    "non-integer", "non-positive" or "square" (nothing to measure there),
+    and n below 0 raises ValueError.
     The least-squares slope of log(Y_min) over n is the empirical growth
     rate.  The square-decomposition hypothesis is decided for ``f`` and
     the report attached; when it fails the records are still reported.
@@ -116,22 +117,12 @@ def min_solution_growth(
     records: list[MinSolutionRecord] = []
     skipped: list[tuple[int, str]] = []
     for n in n_range:
-        try:
-            D = eval_int(f, n)
-        except ValueError:
-            skipped.append((n, "non-integer"))
-            continue
-        if D <= 0:
-            skipped.append((n, "non-positive"))
-            continue
-        if is_perfect_square(D):
-            skipped.append((n, "square"))
-            continue
+        D, note = _radicand(eval_exact(f, n))
         # The first convergent hit is the least Y overall: multiples of
         # earlier convergents scale the value by g**2 >= 4.
-        best = _least_convergent_below(D, C, y_max)
+        best = None if note else _least_convergent_below(D, C, y_max)
         if best is None:
-            skipped.append((n, "cap"))
+            skipped.append((n, note or "cap"))
             continue
         records.append(MinSolutionRecord(n, D, best.X, best.Y, best.value, math.log(best.Y)))
     slope = least_squares_slope([(rec.n, rec.log_Y) for rec in records])
@@ -188,10 +179,10 @@ def partial_quotient_profile(
     """
     if not c > 0:
         raise ValueError(f"invalid c={c}: must be positive")
-    D = eval_int(f, n)
-    if D <= 0:
+    D, note = _radicand(eval_int(f, n))
+    if note == "non-positive":
         raise ValueError(f"f({n}) = {D} is not positive")
-    if is_perfect_square(D):
+    if note:
         return None
     bound = c * n
     if bound > DEFAULT_DIGIT_BUDGET * math.log(10):

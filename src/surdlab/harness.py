@@ -16,6 +16,9 @@ once, when the rows run out.  No thread and no executor is started, and
 is exact, so the records are byte-identical across runs, worker counts
 and start methods.
 
+``run_identity_checks`` runs one loop over one table of constant-period
+families, ``_identity_families``: h**2 + 1 and (v*w)**2 + 2*w.
+
 ``emit_table`` turns columns and rows of raw values into CSV, JSON or
 ``label: value`` text; every CLI subcommand prints through it, and
 ``emit`` is its entry point for family records.  ``forms`` and ``json``
@@ -33,8 +36,8 @@ from functools import partial
 
 from .surd import (
     DEFAULT_WORD_CAP,
+    _radicand,
     cf_sqrt,
-    is_perfect_square,
     period_length,
 )
 # PowerSumForm, in annotations only, is forms.PowerSumForm.
@@ -77,14 +80,9 @@ FamilyRecord = namedtuple("FamilyRecord", FAMILY_COLUMNS, defaults=("",))
 
 def _family_row(form: PowerSumForm, n: int, word_cap: int) -> FamilyRecord:
     from .forms import eval_exact
-    value = eval_exact(form, n)
-    if value.denominator != 1:
-        return FamilyRecord(n, None, False, None, None, None, None, "non-integer")
-    D = value.numerator
-    if D <= 0:
-        return FamilyRecord(n, D, False, None, None, None, None, "non-positive")
-    if is_perfect_square(D):
-        return FamilyRecord(n, D, True, None, None, None, None, "square")
+    D, note = _radicand(eval_exact(form, n))
+    if note:
+        return FamilyRecord(n, D, note == "square", None, None, None, None, note)
 
     r = period_length(D)
     capped = r > word_cap
@@ -210,72 +208,47 @@ class IdentityReport(namedtuple("IdentityReport", "checks failures")):
         return not self.failures
 
 
-def _default_h_grid() -> list[PowerSumForm]:
-    from .forms import parse_form
-    return [
-        parse_form("2^n + 1"),
-        parse_form("3^n"),
-        parse_form("2*4^n + 3*2^n + 1"),
-        parse_form("5"),
-        parse_form("7^n + 2*3^n"),
-    ]
+def _identity_families():
+    """Yield each family as forms ``(label, f, a0, middle)``.
 
-
-def _default_vw_grid() -> list[tuple[PowerSumForm, PowerSumForm]]:
-    from .forms import parse_form
-    return [
-        (parse_form("2^n"), parse_form("3^n")),
-        (parse_form("1"), parse_form("2^n")),
-        (parse_form("3"), parse_form("2^n + 1")),
-        (parse_form("2^n + 1"), parse_form("2^n + 1")),
-        (parse_form("2"), parse_form("5")),
-    ]
+    sqrt(f(n)) = [a0(n); {*middle(n), 2*a0(n)}] for n >= 1: sqrt(h**2 + 1)
+    = [h; {2*h}] for five h with positive coefficients, and
+    sqrt((v*w)**2 + 2*w) = [v*w; {v, 2*v*w}] for five positive pairs (v, w).
+    """
+    from .forms import add, constant, mul, parse_form, scale
+    for text in ("2^n + 1", "3^n", "2*4^n + 3*2^n + 1", "5", "7^n + 2*3^n"):
+        h = parse_form(text)
+        yield f"h={h}", add(mul(h, h), constant(1)), h, ()
+    for v_text, w_text in (("2^n", "3^n"), ("1", "2^n"), ("3", "2^n + 1"),
+                           ("2^n + 1", "2^n + 1"), ("2", "5")):
+        v, w = parse_form(v_text), parse_form(w_text)
+        vw = mul(v, w)
+        yield f"v={v}, w={w}", add(mul(vw, vw), scale(w, 2)), vw, (v,)
 
 
 def run_identity_checks(n_max: int = 10) -> IdentityReport:
-    """Verify the two constant-period families against the CF engine.
+    """Check every ``_identity_families`` member for n = 1..n_max with ``cf_sqrt``.
 
-    For h with positive coefficients, sqrt(h(n)**2 + 1) expands as
-    [h(n); {2*h(n)}]; for positive v, w, sqrt(v**2*w**2 + 2*w) expands as
-    [v(n)*w(n); {v(n), 2*v(n)*w(n)}].  Any mismatch is reported with the
-    offending family member and n.
+    A mismatch or a failed expansion is reported with its family and n.
     """
-    from .forms import add, constant, eval_int, mul, scale
+    from .forms import eval_int
     checks = 0
     failures: list[str] = []
-
-    for h in _default_h_grid():
-        f = add(mul(h, h), constant(1))
+    for label, f, a0, middle in _identity_families():
         for n in range(1, n_max + 1):
             checks += 1
-            hn = eval_int(h, n)
+            a0n = eval_int(a0, n)
+            word = (*(eval_int(m, n) for m in middle), 2 * a0n)
             try:
                 exp = cf_sqrt(eval_int(f, n))
             except ValueError as exc:
-                failures.append(f"h={h}, n={n}: expansion failed ({exc})")
+                failures.append(f"{label}, n={n}: expansion failed ({exc})")
                 continue
-            if exp.a0 != hn or exp.period != (2 * hn,):
+            if exp.a0 != a0n or exp.period != word:
                 failures.append(
-                    f"h={h}, n={n}: expected [{hn}; {{{2*hn}}}], got "
-                    f"[{exp.a0}; {exp.period}]"
-                )
-
-    for v, w in _default_vw_grid():
-        f = add(mul(mul(v, v), mul(w, w)), scale(w, 2))
-        for n in range(1, n_max + 1):
-            checks += 1
-            vn, wn = eval_int(v, n), eval_int(w, n)
-            try:
-                exp = cf_sqrt(eval_int(f, n))
-            except ValueError as exc:
-                failures.append(f"v={v}, w={w}, n={n}: expansion failed ({exc})")
-                continue
-            if exp.a0 != vn * wn or exp.period != (vn, 2 * vn * wn):
-                failures.append(
-                    f"v={v}, w={w}, n={n}: expected [{vn*wn}; {{{vn}, {2*vn*wn}}}], "
+                    f"{label}, n={n}: expected [{a0n}; {{{', '.join(map(str, word))}}}], "
                     f"got [{exp.a0}; {exp.period}]"
                 )
-
     return IdentityReport(checks, tuple(failures))
 
 

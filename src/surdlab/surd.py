@@ -57,6 +57,20 @@ def is_perfect_square(n: int) -> bool:
     return s * s == n
 
 
+def _radicand(value) -> tuple[int | None, str]:
+    """``(D, note)`` for an exact value f(n), a Fraction or an int.
+
+    The note says why sqrt(D) has no period: "non-integer" (D is None),
+    "non-positive" or "square"; it is "" when there is one.
+    """
+    if value.denominator != 1:
+        return None, "non-integer"
+    D = value.numerator
+    if D <= 0:
+        return D, "non-positive"
+    return D, "square" if is_perfect_square(D) else ""
+
+
 def _check_surd(D: int) -> int:
     if not isinstance(D, int) or isinstance(D, bool):
         raise TypeError("D must be an integer")

@@ -423,16 +423,17 @@ COUNT_FLAG_ARGV = {
     "--digit-budget": ["pell", "scan", "--D", "33", "--C", "2"],
     "--word-cap": ["cf", "sqrt", "33"],
     "--jobs": ["family", "--preset", "title", "--n", "1..2"],
+    "--n-max": ["identities"],
 }
 
 
-@pytest.mark.parametrize("flag", ["--digit-budget", "--word-cap", "--jobs"])
+@pytest.mark.parametrize("flag", ["--digit-budget", "--word-cap", "--jobs", "--n-max"])
 @pytest.mark.parametrize("value", ["0", "-5", "x"])
 def test_count_flags_reject_non_positive_values(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(COUNT_FLAG_ARGV[flag] + [flag, value])
     assert exc.value.code == 2
-    assert "not a positive integer" in capsys.readouterr().err
+    assert f"argument {flag}: {value!r} is not a positive integer" in capsys.readouterr().err
 
 
 # Each flag is offered only by the subcommands that read it: --jobs by
@@ -651,6 +652,15 @@ GOLDEN_MATRIX = [
     ("expand sqrt --form '5^n' --j 0 --n-range 1..3 --format json", 0, "74a93dc07d1e8a1f", "3c726ff94138523c"),
     ("expand sqrt --form '4^n - 3*3^n' --j 0 --n-range 0..5", 2, "e3b0c44298fc1c14", "c54cce97a4404a25"),
     ("expand sqrt --form '2*4^n + 1' --j 0 --n-range=-1..2", 2, "e3b0c44298fc1c14", "329a6a6093a4ddb1"),
+    # Negative n exits 2 under the min-Y scan too, as under every family command.
+    ("pell scan --form '2*4^n + 1' --C 2 --n=-2..2", 2, "e3b0c44298fc1c14", "14d0a30a11973e3e"),
+    # The skip rule where the rows above do not reach it: non-positive and
+    # non-integer f(n) under --all, profile pq and the min-Y scan.
+    ("pell scan --form '2^n - 5' --C 3 --n 1..4 --all", 0, "1cc15a93136d8ff0", "e4dd5a4e524f1176"),
+    ("profile pq --form '2^n - 5' --n 1..4 --c 3", 2, "e3b0c44298fc1c14", "26da5216f1784170"),
+    ("pell scan --form '(1/2)*4^n + 1' --C 3 --n 0..2 --all", 2, "e3b0c44298fc1c14", "9ff620e6e52af27d"),
+    ("pell scan --form '2^n - 5' --C 2 --n 1..4", 0, "80bdcc48f0a3497e", "8b6aedc30dbbee20"),
+    ("pell scan --form '(1/2)*4^n + 1' --C 3 --n 0..2", 0, "5f0cfbcdf49315ce", "56179347b908b3fb"),
 ]
 
 

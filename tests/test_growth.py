@@ -137,6 +137,12 @@ def test_min_solution_growth_rejects_bad_boxes():
         min_solution_growth(TITLE, 2, range(3, 4), y_limit=0)
 
 
+def test_min_solution_growth_refuses_negative_n():
+    # Not a "non-integer" skip: f(-1) is not defined, as in every family command.
+    with pytest.raises(ValueError, match="evaluation at negative n is not defined"):
+        min_solution_growth(TITLE, 2, range(-1, 3))
+
+
 def test_min_solution_growth_c1_is_cap_without_walking(monkeypatch):
     # |X^2 - D*Y^2| < 1 has no solution for non-square D.
     def no_walk(*args, **kwargs):

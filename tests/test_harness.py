@@ -12,7 +12,7 @@ import time
 import pytest
 
 import surdlab.harness as harness
-from surdlab.forms import parse_form
+from surdlab.forms import add, constant, mul, parse_form, scale
 from surdlab.harness import (
     ExperimentConfig,
     FamilyRecord,
@@ -173,14 +173,34 @@ def test_identity_checks_pass_on_default_grids():
 
 
 def test_identity_checks_report_counterexamples(monkeypatch):
-    # A deliberately wrong family member: w = -1 breaks the identity.
-    monkeypatch.setattr(harness, "_default_h_grid", lambda: [])
-    monkeypatch.setattr(harness, "_default_vw_grid",
-                        lambda: [(parse_form("2^n"), parse_form("-1"))])
-    report = run_identity_checks(n_max=2)
-    assert not report.ok
-    assert len(report.failures) == 2
-    assert "expected" in report.failures[0]
+    # Deliberately wrong family members: h and w negative break the
+    # identities, and h = 0 or v = w = 0 give a D with no period.
+    def families():
+        for text in ("-2^n + 1", "0"):
+            h = parse_form(text)
+            yield f"h={h}", add(mul(h, h), constant(1)), h, ()
+        for v_text, w_text in (("2^n", "-1"), ("0", "0")):
+            v, w = parse_form(v_text), parse_form(w_text)
+            vw = mul(v, w)
+            yield f"v={v}, w={w}", add(mul(vw, vw), scale(w, 2)), vw, (v,)
+
+    monkeypatch.setattr(harness, "_identity_families", families)
+    report = run_identity_checks(n_max=4)
+    assert report.checks == 16
+    # Taken from the two loops the table replaced.
+    assert report.failures == (
+        "h=-2^n + 1, n=1: expected [-1; {-2}], got [1; (2,)]",
+        "h=-2^n + 1, n=2: expected [-3; {-6}], got [3; (6,)]",
+        "h=-2^n + 1, n=3: expected [-7; {-14}], got [7; (14,)]",
+        "h=-2^n + 1, n=4: expected [-15; {-30}], got [15; (30,)]",
+        *(f"h=0, n={n}: expansion failed (D=1 is a perfect square)" for n in range(1, 5)),
+        "v=2^n, w=-1, n=1: expected [-2; {2, -4}], got [1; (2,)]",
+        "v=2^n, w=-1, n=2: expected [-4; {4, -8}], got [3; (1, 2, 1, 6)]",
+        "v=2^n, w=-1, n=3: expected [-8; {8, -16}], got [7; (1, 6, 1, 14)]",
+        "v=2^n, w=-1, n=4: expected [-16; {16, -32}], got [15; (1, 14, 1, 30)]",
+        *(f"v=0, w=0, n={n}: expansion failed (invalid D=0: must be positive)"
+          for n in range(1, 5)),
+    )
 
 
 def test_run_family_clamps_pool_to_task_count(monkeypatch):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from surdlab import surd
 from surdlab.forms import eval_int
-from surdlab.harness import _default_h_grid, _default_vw_grid
+from surdlab.harness import _identity_families
 from surdlab.intervals import sqrt_interval
 from surdlab.surd import (
     DEFAULT_WORD_CAP,
@@ -205,13 +205,10 @@ def test_midpoint_walk_matches_full_walk_on_title_family():
 
 def test_midpoint_walk_matches_full_walk_on_multilimb_identities():
     # Periods 1 and 2 on D of up to ~1,100 bits: h^2 + 1 and v^2 w^2 + 2w.
+    families = list(_identity_families())
     for n in range(1, 201):
-        for h in _default_h_grid():
-            hn = eval_int(h, n)
-            assert_midpoint_walk_matches_oracle(hn * hn + 1)
-        for v, w in _default_vw_grid():
-            vn, wn = eval_int(v, n), eval_int(w, n)
-            assert_midpoint_walk_matches_oracle(vn * vn * wn * wn + 2 * wn)
+        for _, f, _, _ in families:
+            assert_midpoint_walk_matches_oracle(eval_int(f, n))
 
 
 def test_cf_sqrt_matches_sympy_on_sample_up_to_2000():
