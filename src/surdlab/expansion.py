@@ -31,6 +31,7 @@ from fractions import Fraction
 from .forms import (
     PowerSumForm,
     ZERO,
+    _check_n,
     add,
     classify,
     compose_affine,
@@ -233,8 +234,8 @@ def error_table(
     A range that reaches a negative n is refused before any row,
     single-term forms too.
     """
-    if n_range and min(n_range[0], n_range[-1]) < 0:
-        raise ValueError("evaluation at negative n is not defined")
+    if n_range:
+        _check_n(min(n_range[0], n_range[-1]))
     if approx.is_single_term:
         return [(n, ((0, 1), (0, 1)), None) for n in n_range]
     L, source, source_bases = _integer_terms(approx.source)

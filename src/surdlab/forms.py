@@ -2,12 +2,14 @@
 
 A power-sum form is a finite sum ``a_1*b_1**n + ... + a_l*b_l**n`` with
 rational coefficients ``a_i`` and positive rational bases ``b_i``.  All
-arithmetic here is exact (``fractions.Fraction`` throughout); evaluation
-at any non-negative integer ``n`` returns an exact rational.
+arithmetic here is exact.  Coefficients and bases are ``Fraction``s;
+evaluation at a non-negative integer ``n`` sums integer numerators over
+one common denominator and returns one exact ``Fraction``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import namedtuple
 from collections.abc import Iterable
@@ -127,13 +129,27 @@ def compose_affine(f: PowerSumForm, j: int) -> PowerSumForm:
     return normalize([(coef * base**j, base * base) for coef, base in f])
 
 
-def eval_exact(f: PowerSumForm, n: int) -> Fraction:
-    """Exact value of ``f`` at a non-negative integer ``n``."""
+def _check_n(n: int) -> None:
+    """Refuse an ``n`` no form is evaluated at; ranges pass their least n."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("n must be an integer")
     if n < 0:
         raise ValueError("evaluation at negative n is not defined")
-    return sum((coef * base**n for coef, base in f), Fraction(0))
+
+
+def eval_exact(f: PowerSumForm, n: int) -> Fraction:
+    """Exact value of ``f`` at a non-negative integer ``n``.
+
+    With L and V the lcms of the coefficient and base denominators, each
+    term is an integer over L * V**n, so the sum takes one reduction.
+    """
+    _check_n(n)
+    L = math.lcm(*[c.denominator for c, _ in f])
+    V = math.lcm(*[b.denominator for _, b in f])
+    total = 0
+    for c, b in f:
+        total += c.numerator * (L // c.denominator) * (b.numerator * (V // b.denominator))**n
+    return Fraction(total, L * V**n)
 
 
 def eval_int(f: PowerSumForm, n: int) -> int:

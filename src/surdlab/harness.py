@@ -29,16 +29,15 @@ are imported where they are used, so a command that only emits, such as
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 
 from .surd import (
     DEFAULT_WORD_CAP,
+    _midpoint_walk,
     _radicand,
     cf_sqrt,
-    period_length,
 )
 # PowerSumForm, in annotations only, is forms.PowerSumForm.
 
@@ -62,9 +61,8 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "form n_start n_end word_c
         self = super().__new__(cls, *args, **kwargs)
         if self.n_end < self.n_start:
             raise ValueError("empty n range")
-        if self.n_start < 0:
-            # Checked before any row runs: rows are walked largest n first.
-            raise ValueError("evaluation at negative n is not defined")
+        from .forms import _check_n
+        _check_n(self.n_start)  # before any row runs: rows go largest n first
         if self.word_cap < 1 or self.jobs < 1:
             raise ValueError("caps and worker counts must be positive")
         return self
@@ -84,7 +82,7 @@ def _family_row(form: PowerSumForm, n: int, word_cap: int) -> FamilyRecord:
     if note:
         return FamilyRecord(n, D, note == "square", None, None, None, None, note)
 
-    r = period_length(D)
+    a0, r, _, _ = _midpoint_walk(D)
     capped = r > word_cap
     return FamilyRecord(
         n, D, False, r,
@@ -94,7 +92,7 @@ def _family_row(form: PowerSumForm, n: int, word_cap: int) -> FamilyRecord:
         -1 if r % 2 else 1,
         # The closing quotient 2*a0 is the largest of the period: for
         # 0 < k < r, d_k >= 2 and m_k <= a0 give a_k <= a0.
-        2 * math.isqrt(D),
+        2 * a0,
         "word-cap" if capped else "",
     )
 

@@ -8,11 +8,13 @@ form used by SQUFOF (Gower & Wagstaff, "Square form factorization",
 Math. Comp. 2008): no square, no division, and past the first step no
 read of D, so m and d stay below 2*sqrt(D).  For a non-square D the
 expansion is [a0; {a1, ..., a_{r-1}, 2*a0}], and a1 ... a_{r-1} is a
-palindrome.
+palindrome.  With P = a0 + m the same step is the P-form
+    a = P//d,   P' = 2*a0 - P % d,   d' = d_prev + a*(P - P'),
+which finds a where it is used and needs no a0 + m per step.
 
-No other module runs the recurrence.  Here ``_midpoint_walk`` stops at
-the palindrome midpoint of the period, which fixes r and the whole word
-(``cf_sqrt``, ``period_length`` and, through it, family rows), or earlier
+No other module runs the recurrence.  Here ``_midpoint_walk`` runs the
+P-form to the palindrome midpoint of the period, which fixes r and the
+whole word (``cf_sqrt``, ``period_length`` and family rows), or earlier
 at the least Y of |X**2 - D*Y**2| < C (``_least_convergent_below``,
 behind the minimal-Y family scan and ``fundamental_pell``, the case
 C = 2), or once the answer is surely over its bound on Y;
@@ -108,46 +110,77 @@ def _midpoint_walk(D: int, keep: int = 0, below: int = 0
     """Walk sqrt(D) to the palindrome midpoint of its period.
 
     Returns ``(a0, r, half, d)`` with ``half = [a_1, ..., a_h]``,
-    h = r // 2, which fixes the whole word: a_k == a_{r-k} for 0 < k < r.
-    The midpoint is the first k >= 1 with m_{k+1} == m_k (r = 2k) or the
-    first k >= 0 with d_{k+1} == d_k (r = 2k + 1; k = 0 is r = 1);
-    m_1 = a0 > m_0 makes k = 0 safe in the first test.  ``half`` is kept
-    iff r <= ``keep`` and is None otherwise, so it never holds more than
-    keep // 2 quotients.
+    h = r // 2, which fixes the whole word: a_k == a_{r-k} for 0 < k < r,
+    and ``d = d_h``.  The midpoint is the first k >= 1 with
+    P_{k+1} == P_k (r = 2k) or the first k >= 0 with d_{k+1} == d_k
+    (r = 2k + 1; k = 0 is r = 1); P_1 = 2*a0 > P_0 makes k = 0 safe in
+    the first test.  ``half`` is kept iff r <= ``keep`` and is None
+    otherwise, so it never holds more than keep // 2 quotients.
 
     With ``below`` the walk stops early, with r = None: at the first
     k >= 1 with d_k < ``below``, returning ``half = [a_1, ..., a_{k-1}]``
     and ``d = d_k``, or with ``half = None`` once the half would hold more
     than keep // 2 quotients, so it walks at most keep // 2 + 1 steps.
-    Without ``below`` the half is dropped there and the walk goes on to
-    r, so ``period_length`` (keep = 0) pays for neither test after step 0.
+
+    Both loops run the P-form step.  This one, one step per ``count``
+    turn, keeps the half and applies ``below``.  Without ``below`` it
+    drops the half after step keep // 2 + 1 (step 1 for
+    ``period_length``) and hands the state to ``_walk_to_midpoint``,
+    which tests nothing else.
     """
     a0 = _check_surd(D)
-    m, d, d_prev, a = 0, 1, D, a0
-    half: list[int] | None = []
+    c = 2 * a0
+    P, d, d_prev, a = a0, 1, D, a0
+    half: list[int] = []
     h_keep = keep // 2
     for k in count():
-        m_next = d * a - m
-        if m_next == m:
+        P_next = c - P + a * d  # a = a_k = P_k // d_k, so this is 2*a0 - P % d
+        if P_next == P:
             r = 2 * k
             break
-        d_next = d_prev + a * (m - m_next)
+        d_next = d_prev + a * (P - P_next)
         if d_next == d:
             r = 2 * k + 1
             break
-        m, d, d_prev = m_next, d_next, d
-        a = (a0 + m) // d
-        if half is not None:
-            # r >= 2k + 2 from here on.
-            if d < below:
-                return a0, None, half, d
-            if k < h_keep:
-                half.append(a)
-            elif below:
-                return a0, None, None, d
-            else:
-                half = None
+        P, d, d_prev = P_next, d_next, d
+        a = P // d
+        # r >= 2k + 2 from here on.
+        if d < below:
+            return a0, None, half, d
+        if k < h_keep:
+            half.append(a)
+        elif below:
+            return a0, None, None, d
+        else:
+            r, d = _walk_to_midpoint(c, P, d, d_prev, k + 1)
+            return a0, r, None, d
     return a0, r, half if r <= keep else None, d
+
+
+def _walk_to_midpoint(c: int, P: int, d: int, e: int, k: int) -> tuple[int, int]:
+    """``(r, d_h)`` from the state ``P_k, d_k, d_{k-1}`` of step k, c = 2*a0.
+
+    The midpoint tests of ``_midpoint_walk`` and nothing else, two steps
+    per turn: the second step runs with d and e (d_prev) in swapped
+    roles, so each step adds to one denominator in place, no state is
+    rotated, and k moves once per turn.
+    """
+    while True:
+        a = P // d
+        Q = c - P % d
+        if Q == P:
+            return 2 * k, d
+        e += a * (P - Q)
+        if e == d:
+            return 2 * k + 1, d
+        a = Q // e
+        P = c - Q % e
+        if P == Q:
+            return 2 * k + 2, e
+        d += a * (Q - P)
+        if d == e:
+            return 2 * k + 3, e
+        k += 2
 
 
 def cf_sqrt(D: int, word_cap: int = DEFAULT_WORD_CAP) -> CFExpansion:

@@ -25,8 +25,8 @@ def brute_force_pell(D: int, C: int, y_limit: int) -> list[PellSolution]:
     return out
 
 
-def plain_period_word(D: int) -> list[int]:
-    """Period word a_1..a_r of sqrt(D), independent of surdlab.
+def plain_period(D: int) -> tuple[list[int], list[int]]:
+    """Period word a_1..a_r of sqrt(D) and Q_0..Q_r, independent of surdlab.
 
     Walks the whole period with the classical step
     Q_{k+1} = (D - P_{k+1}**2) / Q_k and stops at the first Q == 1, so it
@@ -34,14 +34,45 @@ def plain_period_word(D: int) -> list[int]:
     """
     a0 = math.isqrt(D)
     P, Q, a = 0, 1, a0
-    word = []
+    word, dens = [], [1]
     while True:
         P = a * Q - P
         Q = (D - P * P) // Q
         a = (a0 + P) // Q
         word.append(a)
+        dens.append(Q)
         if Q == 1:
-            return word
+            return word, dens
+
+
+def plain_period_word(D: int) -> list[int]:
+    """Period word a_1..a_r of sqrt(D) from ``plain_period``."""
+    return plain_period(D)[0]
+
+
+def plain_midpoint_walk(D: int, keep: int, below: int, period=None
+                        ) -> tuple[int, int | None, list[int] | None, int]:
+    """What ``surd._midpoint_walk(D, keep, below)`` returns, from a full period.
+
+    Takes the whole period from ``plain_period`` (or ``period``, its
+    result for D) and applies the walk's documented outcomes in its order
+    of steps: a Q_j < ``below`` at some j <= h = r // 2 first, then, with
+    ``below``, giving up after step keep // 2 + 1, and otherwise the
+    midpoint, where the word's first half is kept iff r <= ``keep``.
+    """
+    word, dens = period or plain_period(D)
+    r, h, h_keep = len(word), len(word) // 2, keep // 2
+    for j in range(1, min(h, h_keep + 1) + 1):
+        if dens[j] < below:
+            return math.isqrt(D), None, word[:j - 1], dens[j]
+    if below and h > h_keep:
+        return math.isqrt(D), None, None, dens[h_keep + 1]
+    return math.isqrt(D), r, word[:h] if r <= keep else None, dens[h]
+
+
+def per_term_eval(f, n: int) -> Fraction:
+    """``f(n)`` as a sum of one reduced Fraction per term."""
+    return sum((coef * base**n for coef, base in f), Fraction(0))
 
 
 def plain_min_solution(D: int, C: int, y_limit: int | None, bits_cap: int

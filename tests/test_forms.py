@@ -28,6 +28,8 @@ from surdlab.forms import (
     scale,
 )
 
+from oracles import per_term_eval
+
 F = Fraction
 
 
@@ -245,3 +247,29 @@ def test_dominant_identity_on_positive_leading_forms(f):
         return
     a1, b1 = dominant(f)
     assert mul(normalize([(a1, b1)]), add(constant(1), relative_tail(f))) == f
+
+
+_rational_forms = st.lists(
+    st.tuples(st.fractions(min_value=-50, max_value=50, max_denominator=30),
+              st.fractions(min_value=F(1, 30), max_value=40, max_denominator=30)),
+    max_size=5).map(normalize)
+
+
+@settings(max_examples=60)
+@given(_rational_forms)
+def test_eval_exact_matches_per_term_fractions(f):
+    for n in range(65):
+        value = eval_exact(f, n)
+        assert type(value) is Fraction and value == per_term_eval(f, n)
+        if value.denominator == 1:
+            assert eval_int(f, n) == value
+        else:
+            with pytest.raises(ValueError) as err:
+                eval_int(f, n)
+            assert str(err.value) == f"f({n}) = {per_term_eval(f, n)} is not an integer"
+
+
+def test_eval_exact_of_the_zero_form():
+    for n in range(65):
+        assert eval_exact(ZERO, n) == per_term_eval(ZERO, n) == 0
+        assert eval_int(ZERO, n) == 0

@@ -8,6 +8,7 @@ against the exact surd recurrence before being frozen.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import count, islice
 
@@ -36,7 +37,7 @@ from surdlab.surd import (
     period_length,
 )
 
-from oracles import plain_period_word
+from oracles import plain_midpoint_walk, plain_period, plain_period_word
 
 
 def numeric_cf_oracle(D: int, count: int) -> list[int]:
@@ -177,16 +178,28 @@ def test_period_length_agrees_with_word_up_to_1e5():
 
 
 def assert_midpoint_walk_matches_oracle(D: int) -> int:
-    """``cf_sqrt`` at word caps around r, and ``period_length``, against
-    the full classical walk of ``plain_period_word``; returns r."""
+    """The midpoint walk against the full classical walk of ``plain_period``; r.
+
+    ``cf_sqrt`` runs at word caps around r and ``period_length`` once.
+    ``_midpoint_walk`` runs with below in {0, 2, 50} at each of these keeps:
+    keep = 0..3 hands the walk to its second loop after step 1 or 2,
+    keep = r - 1 and r + 1 just before or at the midpoint, and keep >= r
+    not at all, so the second loop starts on either parity of step and
+    stops in each of its four places.
+    """
     a0 = math.isqrt(D)
-    word = tuple(plain_period_word(D))
+    period = plain_period(D)
+    word = tuple(period[0])
     r = len(word)
     # The midpoint walk relies on this, and family rows report it unchecked.
     assert word[:-1] == word[-2::-1] and word[-1] == 2 * a0
     assert period_length(D) == r
     for cap in {1, 2, r - 1, r, r + 1, DEFAULT_WORD_CAP} - {0}:
         assert cf_sqrt(D, cap) == CFExpansion(D, a0, word if r <= cap else None, r)
+    for keep in {0, 1, 2, 3, r - 1, r, r + 1, 10**6}:
+        for below in (0, 2, 50):
+            assert (surd._midpoint_walk(D, keep, below)
+                    == plain_midpoint_walk(D, keep, below, period)), (D, keep, below)
     return r
 
 
@@ -209,6 +222,20 @@ def test_midpoint_walk_matches_full_walk_on_multilimb_identities():
     for n in range(1, 201):
         for _, f, _, _ in families:
             assert_midpoint_walk_matches_oracle(eval_int(f, n))
+
+
+def test_midpoint_walk_matches_full_walk_on_seeded_multilimb_D():
+    # D = h^2 + k with k | 4h (Richaud-Degert type) have short periods at
+    # any size; here h has 64-400 bits and r runs over 1, 2, 4, 5, 6, ....
+    rng = random.Random(19)
+    periods = set()
+    for _ in range(200):
+        s = rng.randrange(1, 13)
+        h = s * (rng.getrandbits(rng.randrange(64, 400)) | 1)
+        D = h * h + rng.choice([1, 2, 4]) * s * rng.choice([1, -1])
+        if not is_perfect_square(D):
+            periods.add(assert_midpoint_walk_matches_oracle(D))
+    assert {1, 2} <= periods and any(r % 2 for r in periods - {1})
 
 
 def test_cf_sqrt_matches_sympy_on_sample_up_to_2000():
