@@ -7,8 +7,9 @@ under --strict).  ``_COMMANDS`` holds each command's help, run function
 and flags, and is the only place a flag is declared.  ``main`` builds the
 argparse parser of the one command that argv names, and the full tree
 (``build_parser``) only for help and errors above that command or for
-arguments that command does not take.  It then calls the command's run
-function and writes the output it collected once, to --out or stdout.
+arguments that command does not take.  It then calls ``args.run``, which
+either parser sets, and writes the output it collected once, to --out or
+stdout (an --out it cannot write is exit 2).
 A run function imports the modules its command uses when it runs, so the
 ``cf`` commands load only ``surd`` and ``harness``.
 """
@@ -16,6 +17,7 @@ A run function imports the modules its command uses when it runs, so the
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import harness
@@ -74,9 +76,10 @@ _COMMON = (
 )
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags: tuple) -> None:
-    for name, kwargs in _COMMON + flags:
+def _add_flags(parser: argparse.ArgumentParser, leaf: tuple) -> None:
+    for name, kwargs in _COMMON + leaf[2]:
         parser.add_argument(name, **kwargs)
+    parser.set_defaults(run=leaf[1])
 
 
 def _format(args, *formats: str) -> str:
@@ -254,6 +257,24 @@ def _run_hypothesis(args, out: list[str]) -> int:
     return 0
 
 
+def _floats(pairs) -> list[float]:
+    """``num / den`` of each pair of non-negative integers, as floats.
+
+    A quotient past the float range is inf, which is what IEEE
+    round-to-nearest gives there; int / int raises OverflowError instead.
+    """
+    try:
+        return [num / den for num, den in pairs]
+    except OverflowError:
+        floats = []
+        for num, den in pairs:
+            try:
+                floats.append(num / den)
+            except OverflowError:
+                floats.append(math.inf)
+        return floats
+
+
 def _run_expand(args, out: list[str]) -> int:
     from .expansion import error_table, sqrt_approximation
     from .forms import format_form, parse_form
@@ -267,8 +288,8 @@ def _run_expand(args, out: list[str]) -> int:
     fmt = _format(args, "csv", "json")
     rows = []
     for n, err, decay in error_table(approx, _parse_n_range(args.n_range)):
-        errors = [num / den for num, den in err]
-        decays = [None, None] if decay is None else [num / den for num, den in decay]
+        errors = _floats(err)
+        decays = [None, None] if decay is None else _floats(decay)
         if fmt == "csv":
             errors = [f"{e:.6e}" for e in errors]
             decays = [None if d is None else f"{d:.4f}" for d in decays]
@@ -325,9 +346,9 @@ def _run_identities(args, out: list[str]) -> int:
 
 # command -> (help, run, flags) for a runnable command, or
 # command -> (help, {subcommand: (help, run, flags)}) for a group; a
-# command's parser takes _COMMON and then its flags.  The one definition of
-# the command line: build_parser() builds all of it, _parse_args() only the
-# command that argv names, and main() calls that command's run.
+# command's parser takes _COMMON and then its flags, and sets ``run``.  The
+# one definition of the command line: build_parser() builds all of it,
+# _parse_args() only the command that argv names, and main() calls args.run.
 _COMMANDS = {
     "cf": ("continued fraction of sqrt(D)", {
         "sqrt": ("a0, period word and r", _run_cf_sqrt, (
@@ -411,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                       for name, leaf in entry[1].items()]
         else:
             leaves = [(sub.add_parser(command, help=entry[0]), entry)]
-        for p, (_, _, flags) in leaves:
-            _add_flags(p, flags)
+        for p, leaf in leaves:
+            _add_flags(p, leaf)
     return parser
 
 
@@ -433,7 +454,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         names.append(name)
     if not isinstance(entry[1], dict):
         parser = argparse.ArgumentParser(prog=" ".join(["surdlab", *names]))
-        _add_flags(parser, entry[2])
+        _add_flags(parser, entry)
         args, extras = parser.parse_known_args(argv[len(names):])
         if not extras:
             args.command = names[0]
@@ -448,13 +469,9 @@ def main(argv: list[str] | None = None) -> int:
     # Large output integers are bounded by the digit budget and the scans'
     # caps where those apply, never by the interpreter's str() limit.
     sys.set_int_max_str_digits(0)
-    entry = _COMMANDS[args.command]
-    if isinstance(entry[1], dict):
-        entry = entry[1][getattr(args, f"{args.command}_command")]
-    _, run, _ = entry
     out: list[str] = []
     try:
-        code = run(args, out)
+        code = args.run(args, out)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
@@ -463,8 +480,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     data = "".join(out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(data)
     return code

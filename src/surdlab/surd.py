@@ -12,14 +12,15 @@ palindrome.  With P = a0 + m the same step is the P-form
     a = P//d,   P' = 2*a0 - P % d,   d' = d_prev + a*(P - P'),
 which finds a where it is used and needs no a0 + m per step.
 
-No other module runs the recurrence.  Here ``_midpoint_walk`` runs the
-P-form to the palindrome midpoint of the period, which fixes r and the
-whole word (``cf_sqrt``, ``period_length`` and family rows), or earlier
-at the least Y of |X**2 - D*Y**2| < C (``_least_convergent_below``,
-behind the minimal-Y family scan and ``fundamental_pell``, the case
-C = 2), or once the answer is surely over its bound on Y;
-``pell_value_stream`` builds the convergents with their Pell values, and
-``cf_stream`` is the public per-step view of the state.
+No other module runs the recurrence, and here only ``cf_stream`` (the
+m-form, as it yields m) and the midpoint walk (the P-form) run it;
+``pell_value_stream`` reads ``cf_stream`` and adds the convergents.
+``_midpoint_walk`` walks to the palindrome midpoint of the period, which
+fixes r and the whole word (``cf_sqrt``, ``period_length`` and family
+rows), or stops earlier at the least Y of |X**2 - D*Y**2| < C
+(``_least_convergent_below``, behind the minimal-Y family scan and
+``fundamental_pell``, the case C = 2), or once the answer is surely over
+its bound on Y.
 """
 
 from __future__ import annotations
@@ -216,21 +217,16 @@ def period_bound_ratio(D: int, r: int) -> float:
 def pell_value_stream(D: int) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield ``(j, p_j, q_j, p_j**2 - D*q_j**2, a_{j+1})`` for j = 0, 1, 2, ...
 
-    The value comes from the surd recurrence identity
-    ``p_j**2 - D*q_j**2 = (-1)**(j+1) * d_{j+1}``, avoiding a large
-    squaring per step; ``a_{j+1}`` is the partial quotient that builds
-    the next convergent.  Callers that return solutions re-verify them
-    directly.
+    ``cf_stream`` plus the convergents: the value comes from the surd
+    recurrence identity ``p_j**2 - D*q_j**2 = (-1)**(j+1) * d_{j+1}``,
+    avoiding a large squaring per step; ``a_{j+1}`` is the partial
+    quotient that builds the next convergent.  Callers that return
+    solutions re-verify them directly.
     """
-    a0 = _check_surd(D)
-    m, d, d_prev, a = 0, 1, D, a0
-    pm1, qm1 = 1, 0
-    p, q = a0, 1
-    for j in count():
-        m, m_prev = d * a - m, m
-        d, d_prev = d_prev + a * (m_prev - m), d
-        a = (a0 + m) // d
-        yield j, p, q, (d if j % 2 else -d), a
+    steps = cf_stream(D)
+    p, pm1, q, qm1 = next(steps)[0], 1, 1, 0
+    for a, _, d, k in steps:
+        yield k - 1, p, q, (-d if k % 2 else d), a
         p, pm1 = a * p + pm1, p
         q, qm1 = a * q + qm1, q
 

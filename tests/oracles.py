@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice
 
 from surdlab.forms import add, dominant, eval_exact, mul, normalize, scale
 from surdlab.intervals import Interval, sqrt_interval
@@ -25,20 +27,31 @@ def brute_force_pell(D: int, C: int, y_limit: int) -> list[PellSolution]:
     return out
 
 
-def plain_period(D: int) -> tuple[list[int], list[int]]:
-    """Period word a_1..a_r of sqrt(D) and Q_0..Q_r, independent of surdlab.
+def plain_states(D: int) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(a_k, P_k, Q_k)`` of sqrt(D) for k = 0, 1, 2, ... forever.
 
-    Walks the whole period with the classical step
-    Q_{k+1} = (D - P_{k+1}**2) / Q_k and stops at the first Q == 1, so it
-    shares neither its step nor its stop rule with the midpoint walk.
+    sqrt(D) = [a0; a1, ..., a_{k-1}, (P_k + sqrt(D))/Q_k], walked with the
+    classical step P_{k+1} = a_k*Q_k - P_k, Q_{k+1} = (D - P_{k+1}**2) / Q_k,
+    which squares and divides where surdlab's step does neither.
     """
     a0 = math.isqrt(D)
     P, Q, a = 0, 1, a0
-    word, dens = [], [1]
     while True:
+        yield a, P, Q
         P = a * Q - P
         Q = (D - P * P) // Q
         a = (a0 + P) // Q
+
+
+def plain_period(D: int) -> tuple[list[int], list[int]]:
+    """Period word a_1..a_r of sqrt(D) and Q_0..Q_r, independent of surdlab.
+
+    Walks the whole period with the classical step of ``plain_states`` and
+    stops at the first Q == 1, so it shares neither its step nor its stop
+    rule with the midpoint walk.
+    """
+    word, dens = [], [1]
+    for a, _, Q in islice(plain_states(D), 1, None):
         word.append(a)
         dens.append(Q)
         if Q == 1:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import math
 import multiprocessing
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -257,6 +259,36 @@ def test_family_summary_stderr(capsys):
     )
     assert code == 0
     assert "suffix-min r" in err
+
+
+# The decay bounds, ~2^1993, are past the float range.
+HUGE_DECAY = ["expand", "sqrt", "--form", f"{10**400}^n + 1", "--j", "0", "--n-range", "1..3"]
+
+
+def test_expand_sqrt_decay_past_the_float_range_csv(capsys):
+    assert run(capsys, *HUGE_DECAY, "--format", "csv")[:2] == (0, (
+        "n,error_low,error_high,decay_low,decay_high\n"
+        "1,0.000000e+00,0.000000e+00,,\n"
+        "2,0.000000e+00,0.000000e+00,inf,inf\n"
+        "3,0.000000e+00,0.000000e+00,inf,inf\n"))
+
+
+def test_expand_sqrt_decay_past_the_float_range_json(capsys):
+    code, out, _ = run(capsys, *HUGE_DECAY, "--format", "json")
+    assert code == 0
+    assert out.count('"decay_low": Infinity,\n') == 2
+    rows = json.loads(out)["rows"]
+    assert [(row["decay_low"], row["decay_high"]) for row in rows] == [
+        (None, None), (math.inf, math.inf), (math.inf, math.inf)]
+
+
+def test_out_that_cannot_be_written_is_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.txt"
+    assert run(capsys, "cf", "sqrt", "129", "--out", str(missing)) == (
+        2, "", f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    code, out, err = run(capsys, "cf", "sqrt", "129", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 21] Is a directory: ")
 
 
 def test_family_out_file(tmp_path, capsys):
@@ -941,3 +973,110 @@ def test_family_row_failure_is_the_same_for_any_jobs(capsys, monkeypatch):
     assert results["1"] == (2, "", "error: row 9 failed\n")
     assert results["2"] == results["3"] == results["1"]
     assert multiprocessing.active_children() == []
+
+
+def _fuzz_form(rng, bases):
+    """``(text, weight, top)``: one to three ``coef*base^n`` terms and maybe a
+    constant, where |f(n)| <= weight * top**n for n >= 0."""
+    parts, weight, top = [], 0, 1
+    for _ in range(rng.randrange(1, 4)):
+        num, den = rng.choice([(1, 1), (2, 1), (3, 1), (1, 2), (3, 4), (5, 2)])
+        coef = "" if num == den else f"{num}*" if den == 1 else f"({num}/{den})*"
+        base = rng.choice(bases)
+        parts.append(f"{rng.choice('+-')} {coef}{base}^n")
+        weight, top = weight + num, max(top, base)
+    if rng.random() < 0.6:
+        parts.append(f"{rng.choice('+-')} {rng.choice(['1', '2', '5', '(1/4)'])}")
+        weight += 5
+    return " ".join(parts).removeprefix("+ "), weight, top
+
+
+def _fuzz_n(rng, hi):
+    lo = rng.randrange(-1, hi + 1)
+    return f"{lo}..{rng.randrange(lo, hi + 1)}"
+
+
+def _fuzz_family(rng):
+    """``["--form", f, "--n", range]`` with |f(n)| <= 10**12 over the range."""
+    form, weight, top = _fuzz_form(rng, [2, 3, 4, 5, 9, 16, 36, rng.randrange(2, 1000)])
+    hi = 0
+    while weight * top ** (hi + 1) <= 10**12:
+        hi += 1
+    return ["--form", form, "--n", _fuzz_n(rng, hi)]
+
+
+def _fuzz_big_form(rng):
+    form, _, _ = _fuzz_form(rng, [2, 4, 10**400, 10 ** rng.randrange(2, 401),
+                                  rng.randrange(2, 10**6)])
+    return ["--form", form]
+
+
+def _fuzz_D(rng):
+    return str(rng.choice([rng.randrange(-3, 200), rng.randrange(10 ** rng.randrange(1, 13)),
+                           rng.randrange(1, 10**6) ** 2]))
+
+
+def _fuzz_flag(rng, *flag):
+    """``flag`` or nothing, at even odds."""
+    return list(flag) if rng.randrange(2) else []
+
+
+def _fuzz_pell_scan(rng):
+    if rng.randrange(3):
+        argv = _fuzz_family(rng) + _fuzz_flag(rng, "--all")
+    else:
+        argv = ["--D", _fuzz_D(rng)]
+    return argv + ["--C", str(rng.randrange(-1, 20)),
+                   "--digit-budget", str(rng.randrange(1, 200)),
+                   *_fuzz_flag(rng, "--y-limit", str(rng.randrange(-1, 10**12))),
+                   *_fuzz_flag(rng, "--strict")]
+
+
+def _fuzz_family_argv(rng):
+    if rng.randrange(3):
+        argv = _fuzz_family(rng)
+    else:
+        preset, hi = rng.choice([("title", 19), ("even-exponent", 19), ("v2w2", 7)])
+        argv = ["--preset", preset, "--n", _fuzz_n(rng, hi)]
+    return argv + ["--word-cap", str(rng.randrange(1, 50)),
+                   *_fuzz_flag(rng, "--summary"), *_fuzz_flag(rng, "--strict")]
+
+
+# Runnable command -> a draw of the argv after it.  expand sqrt, hypothesis
+# check and growth denom take bases up to 10^400 with n <= 4; the others
+# keep |f(n)| <= 10^12, as nothing bounds their walks in advance yet.
+FUZZ = {
+    "cf sqrt": lambda rng: [_fuzz_D(rng), "--word-cap", str(rng.randrange(1, 50)),
+                            *_fuzz_flag(rng, "--strict")],
+    "cf period": lambda rng: [_fuzz_D(rng)],
+    "cf pell": lambda rng: [_fuzz_D(rng), "--digit-budget", str(rng.randrange(1, 200))],
+    "pell scan": _fuzz_pell_scan,
+    "growth denom": lambda rng: _fuzz_big_form(rng) + ["--b", str(rng.randrange(-2, 50)),
+                                                        "--n", _fuzz_n(rng, 4)],
+    "profile pq": lambda rng: _fuzz_family(rng) + [
+        "--c", rng.choice(["-1", "0", "0.5", "3", "inf", "nan"])],
+    "hypothesis check": _fuzz_big_form,
+    "expand sqrt": lambda rng: _fuzz_big_form(rng) + ["--j", str(rng.randrange(2)),
+                                                       "--n-range", _fuzz_n(rng, 4)],
+    "family": _fuzz_family_argv,
+    "identities": lambda rng: ["--n-max", str(rng.randrange(1, 4))],
+}
+
+
+def test_fuzzed_argv_never_gives_a_traceback(tmp_path, capsys):
+    # Seeded draws over every runnable command and every --format, some
+    # with an --out that cannot be written: each ends in a documented exit
+    # code or in argparse's SystemExit, never in another exception.
+    assert sorted(FUZZ) == sorted(RUNNABLE)
+    rng = random.Random(20)
+    outs = [str(tmp_path / "out.txt"), str(tmp_path / "missing" / "x.txt"), str(tmp_path)]
+    codes = set()
+    for _ in range(12):
+        for command in RUNNABLE:
+            for fmt in ("text", "csv", "json"):
+                argv = [*command.split(), *FUZZ[command](rng), "--format", fmt,
+                        *_fuzz_flag(rng, "--out", rng.choice(outs))]
+                code, _, _ = run_exit(capsys, argv)
+                assert code in (0, 1, 2, 3), argv
+                codes.add(code)
+    assert {0, 2, 3} <= codes

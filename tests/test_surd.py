@@ -37,7 +37,7 @@ from surdlab.surd import (
     period_length,
 )
 
-from oracles import plain_midpoint_walk, plain_period, plain_period_word
+from oracles import plain_midpoint_walk, plain_period, plain_period_word, plain_states
 
 
 def numeric_cf_oracle(D: int, count: int) -> list[int]:
@@ -224,17 +224,23 @@ def test_midpoint_walk_matches_full_walk_on_multilimb_identities():
             assert_midpoint_walk_matches_oracle(eval_int(f, n))
 
 
-def test_midpoint_walk_matches_full_walk_on_seeded_multilimb_D():
-    # D = h^2 + k with k | 4h (Richaud-Degert type) have short periods at
-    # any size; here h has 64-400 bits and r runs over 1, 2, 4, 5, 6, ....
+def seeded_multilimb_D() -> list[int]:
+    """200 seeded D = h^2 + k with k | 4h, less the perfect squares.
+
+    D of this (Richaud-Degert) type have short periods at any size; here h
+    has 64-400 bits and r runs over 1, 2, 4, 5, 6, ....
+    """
     rng = random.Random(19)
-    periods = set()
+    out = []
     for _ in range(200):
         s = rng.randrange(1, 13)
         h = s * (rng.getrandbits(rng.randrange(64, 400)) | 1)
-        D = h * h + rng.choice([1, 2, 4]) * s * rng.choice([1, -1])
-        if not is_perfect_square(D):
-            periods.add(assert_midpoint_walk_matches_oracle(D))
+        out.append(h * h + rng.choice([1, 2, 4]) * s * rng.choice([1, -1]))
+    return [D for D in out if not is_perfect_square(D)]
+
+
+def test_midpoint_walk_matches_full_walk_on_seeded_multilimb_D():
+    periods = {assert_midpoint_walk_matches_oracle(D) for D in seeded_multilimb_D()}
     assert {1, 2} <= periods and any(r % 2 for r in periods - {1})
 
 
@@ -309,6 +315,38 @@ def test_pell_value_stream_next_quotient_and_d():
         for (_, _, _, value, a_next), (a, _, d, _) in pairs:
             assert a_next == a
             assert abs(value) == d
+
+
+def assert_streams_match_classical_oracle(D: int) -> None:
+    """Both streams over two full periods, past d_r = 1, against ``plain_states``.
+
+    The oracle's convergents are built from its own quotients, and their
+    Pell values are computed directly, not from the d_{j+1} identity.
+    """
+    steps = 2 * len(plain_period_word(D))
+    states = list(islice(plain_states(D), steps + 1))
+    assert list(islice(cf_stream(D), steps + 1)) == [
+        (a, P, Q, k) for k, (a, P, Q) in enumerate(states)]
+    expected = []
+    p, p_prev, q, q_prev = states[0][0], 1, 1, 0
+    for a_next, _, _ in states[1:]:
+        expected.append((p, q, p * p - D * q * q, a_next))
+        p, p_prev = a_next * p + p_prev, p
+        q, q_prev = a_next * q + q_prev, q
+    got = list(islice(pell_value_stream(D), steps))
+    assert [j for j, *_ in got] == list(range(steps))
+    assert [tuple(row[1:]) for row in got] == expected
+
+
+def test_streams_match_classical_oracle_below_3000():
+    for D in range(2, 3000):
+        if not is_perfect_square(D):
+            assert_streams_match_classical_oracle(D)
+
+
+def test_streams_match_classical_oracle_on_seeded_multilimb_D():
+    for D in seeded_multilimb_D():
+        assert_streams_match_classical_oracle(D)
 
 
 def test_fundamental_pell_frozen():
