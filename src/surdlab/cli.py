@@ -257,22 +257,16 @@ def _run_hypothesis(args, out: list[str]) -> int:
     return 0
 
 
-def _floats(pairs) -> list[float]:
-    """``num / den`` of each pair of non-negative integers, as floats.
+def _float(num: int, den: int) -> float:
+    """``num / den`` for non-negative integers; inf past the float range.
 
-    A quotient past the float range is inf, which is what IEEE
-    round-to-nearest gives there; int / int raises OverflowError instead.
+    inf is what IEEE round-to-nearest gives there; int / int raises
+    OverflowError instead.
     """
     try:
-        return [num / den for num, den in pairs]
+        return num / den
     except OverflowError:
-        floats = []
-        for num, den in pairs:
-            try:
-                floats.append(num / den)
-            except OverflowError:
-                floats.append(math.inf)
-        return floats
+        return math.inf
 
 
 def _run_expand(args, out: list[str]) -> int:
@@ -288,8 +282,8 @@ def _run_expand(args, out: list[str]) -> int:
     fmt = _format(args, "csv", "json")
     rows = []
     for n, err, decay in error_table(approx, _parse_n_range(args.n_range)):
-        errors = _floats(err)
-        decays = [None, None] if decay is None else _floats(decay)
+        errors = [_float(*pair) for pair in err]
+        decays = [None, None] if decay is None else [_float(*pair) for pair in decay]
         if fmt == "csv":
             errors = [f"{e:.6e}" for e in errors]
             decays = [None if d is None else f"{d:.4f}" for d in decays]
