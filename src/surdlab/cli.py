@@ -131,23 +131,32 @@ def _run_cf_pell(args, out: list[str]) -> int:
     return 0
 
 
+def _skipped(n: int, note: str) -> None:
+    """Name a family row that has no value, and why, on stderr."""
+    print(f"# n={n} skipped: {note}", file=sys.stderr)
+
+
 def _run_pell_scan(args, out: list[str]) -> int:
-    from .forms import eval_int, parse_form
+    from .forms import eval_exact, parse_form
     from .growth import bounded_pell_solutions, min_solution_growth
     if (args.D is None) == (args.form is None):
         raise ValueError("pell scan needs exactly one of --D or --form")
     fmt = _format(args, "csv", "json")
     scan_y_limit = args.y_limit if args.y_limit is not None else 10**12
+
+    def scan_of(D: int):
+        scan = bounded_pell_solutions(D, args.C, scan_y_limit, args.digit_budget)
+        if not scan.complete:
+            print(f"# warning: C={args.C} > sqrt({D}); scan may be incomplete",
+                  file=sys.stderr)
+        return scan
     if args.D is not None:
-        scan = bounded_pell_solutions(args.D, args.C, scan_y_limit, args.digit_budget)
+        scan = scan_of(args.D)
         out.append(harness.emit_table(
             ("X", "Y", "value"), [(s.X, s.Y, s.value) for s in scan.solutions], fmt,
             wrap=lambda solutions: {"D": args.D, "C": args.C, "complete": scan.complete,
                                     "solutions": solutions},
         ))
-        if not scan.complete:
-            print(f"# warning: C={args.C} > sqrt({args.D}); scan may be incomplete",
-                  file=sys.stderr)
         return 0
 
     form = parse_form(args.form)
@@ -157,12 +166,11 @@ def _run_pell_scan(args, out: list[str]) -> int:
     if args.all:
         rows = []
         for n in n_range:
-            D, note = _radicand(eval_int(form, n))
+            D, _, note = _radicand(eval_exact(form, n))
             if note:
-                print(f"# n={n} skipped", file=sys.stderr)
+                _skipped(n, note)
                 continue
-            scan = bounded_pell_solutions(D, args.C, scan_y_limit, args.digit_budget)
-            rows += [(n, D, s.X, s.Y, s.value) for s in scan.solutions]
+            rows += [(n, D, s.X, s.Y, s.value) for s in scan_of(D).solutions]
         out.append(harness.emit_table(("n", "D", "X", "Y", "value"), rows, fmt))
         return 0
     result = min_solution_growth(
@@ -181,7 +189,7 @@ def _run_pell_scan(args, out: list[str]) -> int:
         },
     ))
     for n, reason in result.skipped:
-        print(f"# n={n} skipped: {reason}", file=sys.stderr)
+        _skipped(n, reason)
     if result.slope is not None:
         print(f"# least-squares slope of log Y_min: {result.slope:.6f}",
               file=sys.stderr)
@@ -218,8 +226,8 @@ def _run_profile_pq(args, out: list[str]) -> int:
     rows = []
     for n in _parse_n_range(args.n):
         prof = partial_quotient_profile(form, n, args.c)
-        if prof is None:
-            print(f"# n={n} skipped: square", file=sys.stderr)
+        if isinstance(prof, str):
+            _skipped(n, prof)
             continue
         exps = prof.effective_exponents
         if fmt == "json":
@@ -435,10 +443,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, building one command's parser if it can.
 
     When argv starts with a runnable command, only that command's parser is
-    built; it prints that command's help and errors itself.  Argv that names
-    no runnable command, or that the command's parser leaves partly
-    unrecognized, goes to the full tree, which prints the help, usage and
-    errors of the levels above.
+    built; it prints that command's help and errors itself, and sets none of
+    the tree's subparser dests.  Argv that names no runnable command, or that
+    the command's parser leaves partly unrecognized, goes to the full tree,
+    which prints the help, usage and errors of the levels above.
     """
     entry, names = (None, _COMMANDS), []  # the root, shaped as a group
     for name in argv[:2]:
@@ -451,9 +459,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         _add_flags(parser, entry)
         args, extras = parser.parse_known_args(argv[len(names):])
         if not extras:
-            args.command = names[0]
-            if len(names) == 2:
-                setattr(args, f"{names[0]}_command", names[1])
             return args
     return build_parser().parse_args(argv)
 

@@ -96,15 +96,26 @@ def _prune(f: PowerSumForm, threshold: Fraction, keep_equal: bool) -> PowerSumFo
     return PowerSumForm(t for t in f if t[1] > threshold)
 
 
-def _binomial_sqrt_series(
-    tail: PowerSumForm, limit: int, threshold: Fraction, keep_equal: bool
-) -> PowerSumForm:
-    """Sum_{i<=limit} C(1/2, i) * tail**i, pruned below ``threshold``.
+def _root_series(
+    F: PowerSumForm, threshold: Fraction, keep_equal: bool
+) -> tuple[PowerSumForm, int]:
+    """``(series, limit)``: sqrt(1 + tail) of ``F`` pruned below ``threshold``.
+
+    The series is Sum_{i<=limit} C(1/2, i) * tail**i, tail the relative
+    tail of ``F``; limit is the largest i with ratio**-i >= ``threshold``
+    (ratio of the two largest bases), as no later power keeps a term.
+    Raises ``ResourceLimitError`` when limit exceeds ``_DEPTH_CAP``.
 
     Pruning mid-product is sound: tail bases are < 1, so a dropped term
     can only ever produce bases at or below where it was dropped.  The
     sum is gathered by base and normalized once, not once per power.
     """
+    limit = _floor_log_ratio(1 / threshold, dominant_ratio(F))
+    if limit > _DEPTH_CAP:
+        raise ResourceLimitError(
+            f"root series depth {limit} exceeds cap {_DEPTH_CAP} (base ratio too close to 1)"
+        )
+    tail = relative_tail(F)
     acc: dict[Fraction, Fraction] = {Fraction(1): Fraction(1)}
     power = normalize([(1, 1)])
     coef = Fraction(1)
@@ -121,7 +132,7 @@ def _binomial_sqrt_series(
             break
         for c, u in power:
             acc[u] = acc.get(u, 0) + coef * c
-    return _prune(normalize((c, u) for u, c in acc.items()), threshold, keep_equal)
+    return _prune(normalize((c, u) for u, c in acc.items()), threshold, keep_equal), limit
 
 
 class SqrtApprox(namedtuple("SqrtApprox",
@@ -176,15 +187,7 @@ def sqrt_approximation(f: PowerSumForm, j: int) -> SqrtApprox:
         return SqrtApprox(source, lead, ZERO, 1, None)
 
     ratio = dominant_ratio(source)
-    depth = _floor_log_ratio(base, ratio) + 1
-    if depth > _DEPTH_CAP:
-        raise ResourceLimitError(
-            f"series depth {depth} exceeds cap {_DEPTH_CAP} (base ratio too close to 1)"
-        )
-    threshold = 1 / (base * ratio)
-    series = _binomial_sqrt_series(
-        relative_tail(source), depth, threshold, keep_equal=False
-    )
+    series, depth = _root_series(source, 1 / (base * ratio), keep_equal=False)
     scale_base = base**depth
     f1 = normalize([(c, u * scale_base) for c, u in series])
     if dominant(f1)[1] != scale_base:
@@ -350,16 +353,7 @@ def _extract_root(F: PowerSumForm) -> PowerSumForm | None:
         first_tail_base = F[1][1] / root_base
         if first_tail_base >= 1 and first_tail_base.denominator != 1:
             return None
-        ratio = dominant_ratio(F)
-        limit = _floor_log_ratio(root_base, ratio)
-        if limit > _DEPTH_CAP:
-            raise ResourceLimitError(
-                f"root series depth {limit} exceeds cap {_DEPTH_CAP} "
-                "(base ratio too close to 1)"
-            )
-        series = _binomial_sqrt_series(
-            relative_tail(F), limit, 1 / root_base, keep_equal=True
-        )
+        series, _ = _root_series(F, 1 / root_base, keep_equal=True)
     root = normalize([(root_lead * c, root_base * u) for c, u in series])
     if any(b.denominator != 1 for _, b in root):
         return None

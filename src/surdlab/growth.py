@@ -9,7 +9,8 @@ sqrt(f(n)).
 A minimal solution needs only half a period: the small-integer walk stops
 at the first small value or at the palindrome midpoint, and the answering
 convergent is built once.  The bounded scan and the profiles report every
-convergent in their box, so they still go step by step.
+convergent in their box, so they still go step by step.  A row whose
+f(n) has no period is skipped with the note of ``surd._radicand``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .forms import PowerSumForm, classify, eval_exact, eval_int
+from .forms import PowerSumForm, classify, eval_exact
 from .surd import (
     DEFAULT_DIGIT_BUDGET,
     PellSolution,
@@ -117,10 +118,10 @@ def min_solution_growth(
     records: list[MinSolutionRecord] = []
     skipped: list[tuple[int, str]] = []
     for n in n_range:
-        D, note = _radicand(eval_exact(f, n))
+        D, a0, note = _radicand(eval_exact(f, n))
         # The first convergent hit is the least Y overall: multiples of
         # earlier convergents scale the value by g**2 >= 4.
-        best = None if note else _least_convergent_below(D, C, y_max)
+        best = None if note else _least_convergent_below(D, a0, C, y_max)
         if best is None:
             skipped.append((n, note or "cap"))
             continue
@@ -166,10 +167,11 @@ PartialQuotientProfile = namedtuple(
 
 def partial_quotient_profile(
     f: PowerSumForm, n: int, c: float
-) -> PartialQuotientProfile | None:
+) -> PartialQuotientProfile | str:
     """Profile sqrt(f(n)) while convergent denominators stay below exp(c*n).
 
-    Returns None when f(n) is a perfect square (skipped).  Purely
+    When sqrt(f(n)) has no period the row is skipped: the result is then
+    the note "non-integer", "non-positive" or "square".  Purely
     observational: the exponents are floats derived from exact integers,
     with |sqrt(D) - p/q| = |p**2 - D*q**2| / (q*(sqrt(D)*q + p)).
 
@@ -179,17 +181,14 @@ def partial_quotient_profile(
     """
     if not c > 0:
         raise ValueError(f"invalid c={c}: must be positive")
-    D, note = _radicand(eval_int(f, n))
-    if note == "non-positive":
-        raise ValueError(f"f({n}) = {D} is not positive")
+    D, a0, note = _radicand(eval_exact(f, n))
     if note:
-        return None
+        return note
     bound = c * n
     if bound > DEFAULT_DIGIT_BUDGET * math.log(10):
         raise ResourceLimitError(
             f"exp({c}*{n}) has over {DEFAULT_DIGIT_BUDGET} digits (the digit budget)"
         )
-    a0 = math.isqrt(D)
     max_a = 0
     exponents: list[float] = []
     for steps, p, q, value, a in pell_value_stream(D):

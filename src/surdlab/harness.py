@@ -78,11 +78,11 @@ FamilyRecord = namedtuple("FamilyRecord", FAMILY_COLUMNS, defaults=("",))
 
 def _family_row(form: PowerSumForm, n: int, word_cap: int) -> FamilyRecord:
     from .forms import eval_exact
-    D, note = _radicand(eval_exact(form, n))
+    D, a0, note = _radicand(eval_exact(form, n))
     if note:
         return FamilyRecord(n, D, note == "square", None, None, None, None, note)
 
-    a0, r, _, _ = _midpoint_walk(D)
+    r = _midpoint_walk(D, a0)[0]
     capped = r > word_cap
     return FamilyRecord(
         n, D, False, r,

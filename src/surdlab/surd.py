@@ -53,34 +53,29 @@ def _y_max(digit_budget: int, y_limit: int | None = None) -> int:
     return y_max if y_limit is None else min(y_max, y_limit)
 
 
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    s = math.isqrt(n)
-    return s * s == n
+def _radicand(value) -> tuple[int | None, int | None, str]:
+    """``(D, a0, note)`` for an exact value f(n), a Fraction or an int.
 
-
-def _radicand(value) -> tuple[int | None, str]:
-    """``(D, note)`` for an exact value f(n), a Fraction or an int.
-
-    The note says why sqrt(D) has no period: "non-integer" (D is None),
-    "non-positive" or "square"; it is "" when there is one.
+    The one rule for which D has a period, with one isqrt: the note says
+    why sqrt(D) has none, "non-integer" (D is None), "non-positive" or
+    "square", and is "" when it has one; only then is a0 = isqrt(D) given.
     """
     if value.denominator != 1:
-        return None, "non-integer"
+        return None, None, "non-integer"
     D = value.numerator
     if D <= 0:
-        return D, "non-positive"
-    return D, "square" if is_perfect_square(D) else ""
+        return D, None, "non-positive"
+    a0 = math.isqrt(D)
+    return D, a0, "square" if a0 * a0 == D else ""
 
 
 def _check_surd(D: int) -> int:
     if not isinstance(D, int) or isinstance(D, bool):
         raise TypeError("D must be an integer")
-    if D <= 0:
+    _, a0, note = _radicand(D)
+    if note == "non-positive":
         raise ValueError(f"invalid D={D}: must be positive")
-    a0 = math.isqrt(D)
-    if a0 * a0 == D:
+    if note:
         raise SquareInputError(f"D={D} is a perfect square")
     return a0
 
@@ -106,11 +101,11 @@ def cf_stream(D: int) -> Iterator[tuple[int, int, int, int]]:
         a = (a0 + m) // d
 
 
-def _midpoint_walk(D: int, keep: int = 0, below: int = 0
-                   ) -> tuple[int, int | None, list[int] | None, int]:
-    """Walk sqrt(D) to the palindrome midpoint of its period.
+def _midpoint_walk(D: int, a0: int, keep: int = 0, below: int = 0
+                   ) -> tuple[int | None, list[int] | None, int]:
+    """Walk sqrt(D), a0 = isqrt(D), to the palindrome midpoint of its period.
 
-    Returns ``(a0, r, half, d)`` with ``half = [a_1, ..., a_h]``,
+    Returns ``(r, half, d)`` with ``half = [a_1, ..., a_h]``,
     h = r // 2, which fixes the whole word: a_k == a_{r-k} for 0 < k < r,
     and ``d = d_h``.  The midpoint is the first k >= 1 with
     P_{k+1} == P_k (r = 2k) or the first k >= 0 with d_{k+1} == d_k
@@ -129,7 +124,6 @@ def _midpoint_walk(D: int, keep: int = 0, below: int = 0
     ``period_length``) and hands the state to ``_walk_to_midpoint``,
     which tests nothing else.
     """
-    a0 = _check_surd(D)
     c = 2 * a0
     P, d, d_prev, a = a0, 1, D, a0
     half: list[int] = []
@@ -147,15 +141,15 @@ def _midpoint_walk(D: int, keep: int = 0, below: int = 0
         a = P // d
         # r >= 2k + 2 from here on.
         if d < below:
-            return a0, None, half, d
+            return None, half, d
         if k < h_keep:
             half.append(a)
         elif below:
-            return a0, None, None, d
+            return None, None, d
         else:
             r, d = _walk_to_midpoint(c, P, d, d_prev, k + 1)
-            return a0, r, None, d
-    return a0, r, half if r <= keep else None, d
+            return r, None, d
+    return r, half if r <= keep else None, d
 
 
 def _walk_to_midpoint(c: int, P: int, d: int, e: int, k: int) -> tuple[int, int]:
@@ -193,7 +187,8 @@ def cf_sqrt(D: int, word_cap: int = DEFAULT_WORD_CAP) -> CFExpansion:
     """
     if word_cap < 1:
         raise ValueError("word_cap must be positive")
-    a0, r, half, _ = _midpoint_walk(D, word_cap)
+    a0 = _check_surd(D)
+    r, half, _ = _midpoint_walk(D, a0, word_cap)
     if half is None:
         return CFExpansion(D, a0, None, r)
     # Odd r repeats the middle quotient a_h = a_{h+1}; even r does not.
@@ -203,7 +198,7 @@ def cf_sqrt(D: int, word_cap: int = DEFAULT_WORD_CAP) -> CFExpansion:
 
 def period_length(D: int) -> int:
     """Length r of the period of sqrt(D), with O(1) memory."""
-    return _midpoint_walk(D)[1]
+    return _midpoint_walk(D, _check_surd(D))[0]
 
 
 def period_bound_ratio(D: int, r: int) -> float:
@@ -289,7 +284,7 @@ def fundamental_pell(D: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> PellSo
     nothing whose bound on Y passes the budget.
     """
     bits = _digit_budget_bits(digit_budget)
-    sol = _least_convergent_below(D, 2, _y_max(digit_budget))
+    sol = _least_convergent_below(D, _check_surd(D), 2, _y_max(digit_budget))
     if sol is None or sol.X.bit_length() > bits:
         size = f"more than {bits}" if sol is None else sol.X.bit_length()
         raise ResourceLimitError(
@@ -297,7 +292,7 @@ def fundamental_pell(D: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> PellSo
     return sol
 
 
-def _least_convergent_below(D: int, C: int, y_max: int) -> PellSolution | None:
+def _least_convergent_below(D: int, a0: int, C: int, y_max: int) -> PellSolution | None:
     """Convergent p_j/q_j of sqrt(D) at the least j with |p_j**2 - D*q_j**2| < C.
 
     Returns None (a cap) unless q_j <= ``y_max``.  The least j is k - 1
@@ -320,7 +315,7 @@ def _least_convergent_below(D: int, C: int, y_max: int) -> PellSolution | None:
     if C < 2:
         return None
     b = y_max.bit_length()
-    a0, r, half, d = _midpoint_walk(D, 4 * b - 2, below=C)
+    r, half, d = _midpoint_walk(D, a0, 4 * b - 2, below=C)
     if half is None:
         return None
     bits = sum(map(int.bit_length, half)) - len(half)

@@ -12,6 +12,13 @@ from surdlab.intervals import Interval, sqrt_interval
 from surdlab.surd import PellSolution
 
 
+def is_perfect_square(n: int) -> bool:
+    if n < 0:
+        return False
+    s = math.isqrt(n)
+    return s * s == n
+
+
 def brute_force_pell(D: int, C: int, y_limit: int) -> list[PellSolution]:
     """Direct enumeration of |X**2 - D*Y**2| < C over 1 <= Y <= y_limit."""
     out = []
@@ -64,8 +71,8 @@ def plain_period_word(D: int) -> list[int]:
 
 
 def plain_midpoint_walk(D: int, keep: int, below: int, period=None
-                        ) -> tuple[int, int | None, list[int] | None, int]:
-    """What ``surd._midpoint_walk(D, keep, below)`` returns, from a full period.
+                        ) -> tuple[int | None, list[int] | None, int]:
+    """What ``surd._midpoint_walk(D, a0, keep, below)`` returns, from a full period.
 
     Takes the whole period from ``plain_period`` (or ``period``, its
     result for D) and applies the walk's documented outcomes in its order
@@ -77,10 +84,10 @@ def plain_midpoint_walk(D: int, keep: int, below: int, period=None
     r, h, h_keep = len(word), len(word) // 2, keep // 2
     for j in range(1, min(h, h_keep + 1) + 1):
         if dens[j] < below:
-            return math.isqrt(D), None, word[:j - 1], dens[j]
+            return None, word[:j - 1], dens[j]
     if below and h > h_keep:
-        return math.isqrt(D), None, None, dens[h_keep + 1]
-    return math.isqrt(D), r, word[:h] if r <= keep else None, dens[h]
+        return None, None, dens[h_keep + 1]
+    return r, word[:h] if r <= keep else None, dens[h]
 
 
 def per_term_eval(f, n: int) -> Fraction:

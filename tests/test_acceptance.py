@@ -36,9 +36,9 @@ from surdlab.growth import (
 )
 from surdlab.harness import ExperimentConfig, FamilyRecord, run_family, suffix_min_periods
 from surdlab.intervals import sqrt_interval
-from surdlab.surd import cf_sqrt, is_perfect_square, pell_value_stream
+from surdlab.surd import cf_sqrt, pell_value_stream
 
-from oracles import brute_force_pell
+from oracles import brute_force_pell, is_perfect_square
 
 TITLE = parse_form("2*4^n + 1")
 

@@ -23,10 +23,9 @@ from surdlab.surd import (
     SquareInputError,
     _digit_budget_bits,
     _least_convergent_below,
-    is_perfect_square,
 )
 
-from oracles import brute_force_pell, plain_min_solution
+from oracles import brute_force_pell, is_perfect_square, plain_min_solution
 
 F = Fraction
 TITLE = parse_form("2*4^n + 1")
@@ -177,7 +176,7 @@ def test_least_convergent_matches_per_step_oracle_below_20000():
         if is_perfect_square(D):
             continue
         for C, y_limit, bits in _ORACLE_BOXES:
-            got = _least_convergent_below(D, C, _y_max(y_limit, bits))
+            got = _least_convergent_below(D, math.isqrt(D), C, _y_max(y_limit, bits))
             assert got == plain_min_solution(D, C, y_limit, bits), (D, C, y_limit, bits)
 
 
@@ -228,7 +227,7 @@ def test_capped_rows_build_no_convergent_past_twice_the_cap(monkeypatch):
     caps = 0
     for D, C, y_max in cases:
         built.clear()
-        if _least_convergent_below(D, C, y_max) is None:
+        if _least_convergent_below(D, math.isqrt(D), C, y_max) is None:
             caps += 1
             cap_bits = y_max.bit_length()
             assert max(built, default=0) <= 2 * cap_bits + 2, (D, C, cap_bits, built)
@@ -279,7 +278,7 @@ def test_partial_quotient_profile_h_squared_plus_one():
 
 
 def test_partial_quotient_profile_skips_squares():
-    assert partial_quotient_profile(TITLE, 1, 2.0) is None  # f(1) = 9
+    assert partial_quotient_profile(TITLE, 1, 2.0) == "square"  # f(1) = 9
 
 
 def test_partial_quotient_profile_exponents_near_two():

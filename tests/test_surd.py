@@ -31,13 +31,18 @@ from surdlab.surd import (
     cf_sqrt,
     cf_stream,
     fundamental_pell,
-    is_perfect_square,
     pell_value_stream,
     period_bound_ratio,
     period_length,
 )
 
-from oracles import plain_midpoint_walk, plain_period, plain_period_word, plain_states
+from oracles import (
+    is_perfect_square,
+    plain_midpoint_walk,
+    plain_period,
+    plain_period_word,
+    plain_states,
+)
 
 
 def numeric_cf_oracle(D: int, count: int) -> list[int]:
@@ -198,7 +203,7 @@ def assert_midpoint_walk_matches_oracle(D: int) -> int:
         assert cf_sqrt(D, cap) == CFExpansion(D, a0, word if r <= cap else None, r)
     for keep in {0, 1, 2, 3, r - 1, r, r + 1, 10**6}:
         for below in (0, 2, 50):
-            assert (surd._midpoint_walk(D, keep, below)
+            assert (surd._midpoint_walk(D, a0, keep, below)
                     == plain_midpoint_walk(D, keep, below, period)), (D, keep, below)
     return r
 
@@ -479,10 +484,10 @@ def test_below_walk_gives_up_past_the_kept_half(monkeypatch, keep):
     r = period_length(D)
     d = next(d_k for _, _, d_k, k in cf_stream(D) if k == keep // 2 + 1)
     monkeypatch.setattr(surd, "count", _count_to(keep // 2 + 1))
-    assert surd._midpoint_walk(D, keep, below=2) == (math.isqrt(D), None, None, d)
+    assert surd._midpoint_walk(D, math.isqrt(D), keep, below=2) == (None, None, d)
     monkeypatch.undo()
     # Without below the same walk drops the half and goes on to r.
-    assert surd._midpoint_walk(D, keep)[:3] == (math.isqrt(D), r, None)
+    assert surd._midpoint_walk(D, math.isqrt(D), keep)[:2] == (r, None)
 
 
 def test_fundamental_pell_anchor_matches_linear_oracle():
