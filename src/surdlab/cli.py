@@ -9,7 +9,7 @@ argparse parser of the one command that argv names, and the full tree
 (``build_parser``) only for help and errors above that command or for
 arguments that command does not take.  It then calls ``args.run``, which
 either parser sets, and writes the output it collected once, to --out or
-stdout (an --out it cannot write is exit 2).
+stdout (an --out it cannot write is exit 2, before the run where it can tell).
 A run function imports the modules its command uses when it runs, so the
 ``cf`` commands load only ``surd`` and ``harness``.
 """
@@ -17,7 +17,9 @@ A run function imports the modules its command uses when it runs, so the
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from . import harness
@@ -141,6 +143,11 @@ def _run_pell_scan(args, out: list[str]) -> int:
     from .growth import bounded_pell_solutions, min_solution_growth
     if (args.D is None) == (args.form is None):
         raise ValueError("pell scan needs exactly one of --D or --form")
+    mode, unread = (("--D", ("n", "all", "strict")) if args.D is not None
+                    else ("--form --all", ("strict",) if args.all else ()))
+    given = [f"--{name}" for name in unread if getattr(args, name) not in (None, False)]
+    if given:
+        raise ValueError(f"pell scan {mode} does not read {', '.join(given)}")
     fmt = _format(args, "csv", "json")
     scan_y_limit = args.y_limit if args.y_limit is not None else 10**12
 
@@ -282,11 +289,9 @@ def _run_expand(args, out: list[str]) -> int:
     from .forms import format_form, parse_form
     form = parse_form(args.form)
     approx = sqrt_approximation(form, args.j)
-    print(
-        f"# f1 = {format_form(approx.series_form)}, k = {approx.depth}, "
-        f"lead = {approx.lead_coefficient}, error_base = {approx.error_base}",
-        file=sys.stderr,
-    )
+    f1 = format_form(approx.series_form)
+    print(f"# f1 = {f1}, k = {approx.depth}, lead = {approx.lead_coefficient}, "
+          f"error_base = {approx.error_base}", file=sys.stderr)
     fmt = _format(args, "csv", "json")
     rows = []
     for n, err, decay in error_table(approx, _parse_n_range(args.n_range)):
@@ -299,7 +304,7 @@ def _run_expand(args, out: list[str]) -> int:
     out.append(harness.emit_table(
         ("n", "error_low", "error_high", "decay_low", "decay_high"), rows, fmt, indent=2,
         wrap=lambda objects: {
-            "f1": format_form(approx.series_form),
+            "f1": f1,
             "k": approx.depth,
             "lead_coefficient": str(approx.lead_coefficient),
             "error_base": None if approx.error_base is None else str(approx.error_base),
@@ -463,6 +468,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _check_out(path: str) -> None:
+    """Raise open(path, "w")'s error, as ValueError, where the path alone decides it."""
+    try:
+        os.stat(os.path.join(os.path.dirname(path), "."))
+    except OSError as exc:
+        exc.filename = path
+        raise ValueError(exc) from None
+    if os.path.isdir(path):
+        raise ValueError(OSError(errno.EISDIR, os.strerror(errno.EISDIR), path))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     # Large output integers are bounded by the digit budget and the scans'
@@ -470,6 +486,8 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     out: list[str] = []
     try:
+        if args.out:
+            _check_out(args.out)
         code = args.run(args, out)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -91,9 +91,8 @@ def _floor_log_ratio(x: Fraction, base: Fraction) -> int:
 
 
 def _prune(f: PowerSumForm, threshold: Fraction, keep_equal: bool) -> PowerSumForm:
-    if keep_equal:
-        return PowerSumForm(t for t in f if t[1] >= threshold)
-    return PowerSumForm(t for t in f if t[1] > threshold)
+    keep = operator.ge if keep_equal else operator.gt
+    return PowerSumForm(t for t in f if keep(t[1], threshold))
 
 
 def _root_series(
@@ -174,10 +173,7 @@ def sqrt_approximation(f: PowerSumForm, j: int) -> SqrtApprox:
     a1, b1 = dominant(f)
     if a1 <= 0:
         raise ValueError("leading coefficient must be positive")
-    if j == 0 and sqrt_rational(b1) is not None:
-        source = f
-    else:
-        source = compose_affine(f, j)
+    source = f if j == 0 and sqrt_rational(b1) is not None else compose_affine(f, j)
     lead, base = dominant(source)
     root_base = sqrt_rational(base)
     if root_base is None:
@@ -218,10 +214,13 @@ def error_table(
     """Rows ``(n, error, decay)`` of certified bounds as exact integer ratios.
 
     ``error`` is ``((lo, den), (hi, den))`` with ``den > 0`` and
-    ``lo/den <= |sqrt(source(n)) - approximation(n)| <= hi/den``.  ``decay``
-    bounds the previous row's error over this one's the same way; it is
-    None on the first row and wherever ``lo`` is 0.  No ratio is brought to
-    lowest terms: each is meant for one correctly rounded ``num / den``.
+    ``lo/den <= |sqrt(source(n)) - approximation(n)| <= hi/den``.  The
+    rows run over consecutive n, and ``decay`` bounds the previous row's
+    error over this one's (the decay per step) the same way; it is None on
+    the first row and wherever ``lo`` is 0.  No ratio is brought to lowest
+    terms: each is meant for one correctly rounded ``num / den``.  A range
+    whose step is not 1, or that reaches a negative n, raises ValueError
+    before any row, single-term forms too.
 
     The bounds are Moore interval arithmetic on integer endpoints.  Both
     square roots are bracketed as in ``intervals.sqrt_interval``:
@@ -234,11 +233,11 @@ def error_table(
     row takes a big gcd.  ``bits`` forces the precision of every row; by
     default it is ``max(96, int(n*log2(error_base)) + 96)``, priced on the
     guaranteed rate, so an error that decays faster can leave ``lo`` at 0.
-    A range that reaches a negative n is refused before any row,
-    single-term forms too.
     """
+    if n_range.step != 1:
+        raise ValueError(f"error rows need consecutive n, not step {n_range.step}")
     if n_range:
-        _check_n(min(n_range[0], n_range[-1]))
+        _check_n(n_range[0])
     if approx.is_single_term:
         return [(n, ((0, 1), (0, 1)), None) for n in n_range]
     L, source, source_bases = _integer_terms(approx.source)
@@ -251,10 +250,10 @@ def error_table(
     rows: list[tuple[int, Bounds, Bounds | None]] = []
     prev = None
     for n in n_range:
-        if prev is not None and n == prev[0] + 1:
-            powers = [w * b for w, b in zip(powers, bases)]
-        else:
+        if prev is None:
             powers = [b**n for b in bases]
+        else:
+            powers = [w * b for w, b in zip(powers, bases)]
         shift = bits if bits is not None else max(96, int(n * log_rate) + 96)
         N = sum(map(operator.mul, source, powers))
         if N < 0:
@@ -277,18 +276,13 @@ def error_table(
             lo, hi = 0, max(-lo, hi)
         decay = None
         if prev is not None and lo > 0:
-            # den/den_prev = up/down = (q/q_prev) * (B**k)**(n - n_prev)
-            # * 2**(shift - shift_prev): only small factors, no big product.
-            pn, plo, phi, pq, pshift = prev
-            up, down = q << max(shift - pshift, 0), pq << max(pshift - shift, 0)
-            if n > pn:
-                up *= series_bases[0] ** (n - pn)
-            else:
-                down *= series_bases[0] ** (pn - n)
-            decay = ((plo * up, down * hi), (phi * up, down * lo))
+            # den/den_prev = up/pq from small factors only; shift never falls.
+            plo, phi, pq, pshift = prev
+            up = (q << shift - pshift) * series_bases[0]
+            decay = ((plo * up, pq * hi), (phi * up, pq * lo))
         den = (q * x) << shift
         rows.append((n, ((lo, den), (hi, den)), decay))
-        prev = n, lo, hi, q, shift
+        prev = lo, hi, q, shift
     return rows
 
 
@@ -338,9 +332,7 @@ def _extract_root(F: PowerSumForm) -> PowerSumForm | None:
     """
     lead, base = dominant(F)
     root_lead = sqrt_rational(lead)
-    if root_lead is None:
-        return None
-    root_base = sqrt_rational(base)
+    root_base = None if root_lead is None else sqrt_rational(base)
     if root_base is None:
         return None
     if len(F) == 1:
@@ -389,23 +381,14 @@ def decide_hypothesis(f: PowerSumForm) -> HypothesisReport:
         if root is None:
             continue
         remainder = add(F, scale(mul(root, root), -1))
-        if remainder.is_zero:
-            witnesses.append(
-                HypothesisWitness(j, root, remainder, float("-inf"))
-            )
-            continue
-        bound = sqrt_rational(dominant(F)[1])
-        rem_base = dominant(remainder)[1]
+        bound = dominant(root)[1]  # sqrt of F's leading base
+        rem_base = dominant(remainder)[1] if remainder else 0
         if rem_base < bound:
-            witnesses.append(
-                HypothesisWitness(j, root, remainder, growth_exponent(remainder, F))
-            )
+            witnesses.append(HypothesisWitness(j, root, remainder, growth_exponent(remainder, F)))
         elif rem_base == bound:
             # Exact tie at exponent 1/2: not a witness, but flag it
             # rather than silently calling the hypothesis satisfied.
-            warnings.append(
-                f"j={j}: remainder sits exactly at the 1/2 growth boundary"
-            )
+            warnings.append(f"j={j}: remainder sits exactly at the 1/2 growth boundary")
 
     if witnesses:
         return HypothesisReport(FAILS, tuple(witnesses), tuple(warnings))
@@ -439,8 +422,6 @@ def growth_exponent(g: PowerSumForm, f: PowerSumForm) -> Fraction | float:
     if v <= 1:
         raise ValueError("reference form must have dominant base > 1")
     u = dominant(g)[1]
-    if u == 1:
-        return Fraction(0)
     # Each log apart, so that bases past the float range stay finite.
     ratio = ((math.log(u.numerator) - math.log(u.denominator))
              / (math.log(v.numerator) - math.log(v.denominator)))

@@ -163,6 +163,24 @@ def test_family_commands_skip_the_rows_family_notes(capsys, form, n):
         assert (code, got) == (0, want), argv
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--D", "33", "--C", "4", "--all"], "pell scan --D does not read --all"),
+    (["--D", "33", "--C", "4", "--n", "1..3"], "pell scan --D does not read --n"),
+    (["--D", "33", "--C", "4", "--strict"], "pell scan --D does not read --strict"),
+    (["--form", "2^n - 5", "--C", "3", "--n", "1..4", "--all", "--strict"],
+     "pell scan --form --all does not read --strict"),
+])
+def test_pell_scan_refuses_flags_its_mode_never_reads(capsys, monkeypatch, argv, error):
+    import surdlab.growth as growth
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("no scan may run")
+
+    monkeypatch.setattr(growth, "bounded_pell_solutions", no_scan)
+    monkeypatch.setattr(growth, "min_solution_growth", no_scan)
+    assert run(capsys, "pell", "scan", *argv) == (2, "", f"error: {error}\n")
+
+
 def test_pell_scan_needs_exactly_one_target(capsys):
     code, _, err = run(capsys, "pell", "scan", "--C", "2")
     assert code == 2
@@ -316,6 +334,48 @@ def test_out_that_cannot_be_written_is_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "cf", "sqrt", "129", "--out", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: [Errno 21] Is a directory: ")
+
+
+def test_out_is_checked_before_the_work(tmp_path, capsys, monkeypatch):
+    def no_row(*args):
+        raise AssertionError("no row may run")
+
+    monkeypatch.setattr(harness, "_family_row", no_row)
+    argv = ("family", "--form", "2*4^n + 1", "--n", "20..22", "--out")
+    missing = tmp_path / "missing" / "x.csv"
+    assert run(capsys, *argv, str(missing)) == (
+        2, "", f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    assert run(capsys, *argv, str(tmp_path)) == (
+        2, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+    assert not missing.parent.exists()
+
+
+def test_out_is_untouched_when_the_run_exits_3(tmp_path, capsys):
+    target = tmp_path / "x.txt"
+    target.write_text("kept\n")
+    code, out, err = run(capsys, "cf", "pell", "137438953473", "--digit-budget", "10",
+                         "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: ")
+    assert target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_expand_sqrt_formats_f1_once(capsys, monkeypatch, fmt):
+    import surdlab.forms as forms
+    calls = []
+    real = forms.format_form
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(forms, "format_form", spy)
+    code, _, err = run(capsys, "expand", "sqrt", "--form", "2*4^n + 1", "--j", "0",
+                       "--n-range", "1..3", "--format", fmt)
+    assert code == 0
+    assert len(calls) == 1
+    assert err.startswith(f"# f1 = {real(calls[0])}, ")
 
 
 def test_family_out_file(tmp_path, capsys):

@@ -221,10 +221,10 @@ def test_error_table_equals_fraction_oracle(text, j):
     approx = sqrt_approximation(parse_form(text), j)
     for bits in (None, 1, 2, 4, 8):
         _assert_table_matches_oracle(approx, range(0, 31), bits)
-    # With steps other than +1 the powers are not carried, and walked
-    # downward den shrinks from row to row.
-    _assert_table_matches_oracle(approx, range(1, 31, 3))
-    _assert_table_matches_oracle(approx, range(30, -1, -3))
+    # The decay is per step: any other step is refused before any row.
+    for n_range in (range(1, 31, 3), range(30, -1, -3)):
+        with pytest.raises(ValueError, match="consecutive n"):
+            error_table(approx, n_range)
 
 
 def test_error_table_default_bits_past_the_float_range():
@@ -247,11 +247,18 @@ def test_error_table_rows_straddling_zero():
         _, ((lo, _), (hi, _)), decay = _assert_table_matches_oracle(
             approx, range(0, 13), bits)[6]
         assert lo == 0 < hi and decay is None
-    # Walked downward at 8 bits, n = 1 is the first row with lo > 0: its
-    # decay is bounded below by the straddling row's lo, 0.
-    rows = _assert_table_matches_oracle(approx, range(12, -1, -1), 8)
-    assert [n for n, ((lo, _), _), _ in rows if lo > 0] == [1, 0]
-    assert rows[-2][2][0][0] == 0
+
+
+def test_error_table_refuses_other_steps_before_any_row():
+    # Each range's first row would fail on its own (source(0) = -2, n = -3),
+    # and the single-term form builds no row at all: the step is refused first.
+    negative = sqrt_approximation(parse_form("4^n - 3*3^n"), 0)
+    title, single = sqrt_approximation(TITLE, 0), sqrt_approximation(parse_form("5^n"), 0)
+    for approx, n_range in ((negative, range(0, 6, 2)), (title, range(-3, 3, 2)),
+                            (title, range(5, 5, 2)), (single, range(4, 0, -1))):
+        with pytest.raises(ValueError, match=f"^error rows need consecutive n, "
+                           f"not step {n_range.step}$"):
+            error_table(approx, n_range)
 
 
 def test_error_table_negative_inputs_fail_as_the_oracle_does():
@@ -508,9 +515,12 @@ def test_decide_matches_long_division_root_on_grid(monkeypatch):
 
 def test_growth_exponent_examples():
     f = parse_form("16^n + 1")
-    assert growth_exponent(constant(1), f) == 0
     assert growth_exponent(parse_form("3*4^n"), parse_form("2*16^n + 1")) == F(1, 2)
-    assert growth_exponent(constant(F(3, 4)), parse_form("16^n + 4^n + 1")) == 0
+    # A constant remainder has exponent 0, exactly, against any reference.
+    for g, ref in ((constant(1), f), (constant(F(3, 4)), parse_form("16^n + 4^n + 1")),
+                   (constant(1), parse_form(f"{10**400}^n + 1"))):
+        got = growth_exponent(g, ref)
+        assert got == 0 and isinstance(got, Fraction)
     assert growth_exponent(ZERO, f) == float("-inf")
 
 
