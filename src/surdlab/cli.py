@@ -4,23 +4,25 @@ Subcommands: cf, pell, growth, profile, hypothesis, expand, family,
 identities.  Exit codes: 0 success, 1 identity-check failure,
 2 invalid input, 3 resource cap hit (fatal caps always; soft caps only
 under --strict).  ``_COMMANDS`` holds each command's help, run function
-and flags, and is the only place a flag is declared.  ``main`` builds the
-argparse parser of the one command that argv names, and the full tree
+and flags, and is the only place a flag is declared.  ``main`` reads
+well-formed argv of a runnable command straight from that entry, and
+imports argparse only for help and errors: then it builds the argparse
+parser of the one command that argv names, and the full tree
 (``build_parser``) only for help and errors above that command or for
 arguments that command does not take.  It then calls ``args.run``, which
-either parser sets, and writes the output it collected once, to --out or
+every reading sets, and writes the output it collected once, to --out or
 stdout (an --out it cannot write is exit 2, before the run where it can tell).
 A run function imports the modules its command uses when it runs, so the
-``cf`` commands load only ``surd`` and ``harness``.
+``cf`` commands load only ``surd`` and ``harness``, and no argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import math
 import os
 import sys
+import types
 
 from . import harness
 from .surd import (
@@ -52,6 +54,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return value
 
@@ -78,7 +81,7 @@ _COMMON = (
 )
 
 
-def _add_flags(parser: argparse.ArgumentParser, leaf: tuple) -> None:
+def _add_flags(parser, leaf: tuple) -> None:
     for name, kwargs in _COMMON + leaf[2]:
         parser.add_argument(name, **kwargs)
     parser.set_defaults(run=leaf[1])
@@ -424,7 +427,8 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="surdlab",
         description="Exact continued fractions of sqrt(D), Pell equations and "
@@ -444,14 +448,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building one command's parser if it can.
+def _read_argv(leaf: tuple, tokens: list[str]):
+    """The namespace argparse gives ``leaf``'s parser for tokens, or None.
 
-    When argv starts with a runnable command, only that command's parser is
-    built; it prints that command's help and errors itself, and sets none of
-    the tree's subparser dests.  Argv that names no runnable command, or that
-    the command's parser leaves partly unrecognized, goes to the full tree,
-    which prints the help, usage and errors of the levels above.
+    Reads only an exact ``--name value``, an exact ``--name`` of a
+    store_true flag and the one positional, with the parser's types,
+    choices and defaults.  Anything else is None, for argparse to answer:
+    help, abbreviations, ``--x=v`` and ``--``, a token or value that starts
+    with "-", a repeated flag or positional, a missing value, positional or
+    required flag, and a value that its type raises on or its choices lack.
+    """
+    flags, given, tokens = dict(_COMMON + leaf[2]), {}, iter(tokens)
+    for token in tokens:
+        name = token if token.startswith("-") else _D[0]
+        kwargs = flags.get(name)
+        if kwargs is None or name in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[name] = True
+            continue
+        value = token if name == _D[0] else next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            given[name] = kwargs.get("type", str)(value)
+        except Exception:  # argparse reports it or lets it raise
+            return None
+        if given[name] not in kwargs.get("choices", (given[name],)):
+            return None
+    args = types.SimpleNamespace(run=leaf[1])
+    for name, kwargs in flags.items():
+        if name not in given and (kwargs.get("required") or not name.startswith("-")):
+            return None
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        setattr(args, name.lstrip("-").replace("-", "_"), given.get(name, default))
+    return args
+
+
+def _parse_args(argv: list[str]):
+    """``build_parser().parse_args(argv)``, reading argv without argparse if it can.
+
+    When argv starts with a runnable command, ``_read_argv`` reads it from
+    that command's entry in ``_COMMANDS``, and argparse is not imported.
+    Argv it declines builds only that command's parser, which prints that
+    command's help and errors itself and sets none of the tree's subparser
+    dests.  Argv that names no runnable command, or that the command's
+    parser leaves partly unrecognized, goes to the full tree, which prints
+    the help, usage and errors of the levels above.
     """
     entry, names = (None, _COMMANDS), []  # the root, shaped as a group
     for name in argv[:2]:
@@ -460,9 +503,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         entry = entry[1][name]
         names.append(name)
     if not isinstance(entry[1], dict):
+        tokens = argv[len(names):]
+        args = _read_argv(entry, tokens)
+        if args is not None:
+            return args
+        import argparse
         parser = argparse.ArgumentParser(prog=" ".join(["surdlab", *names]))
         _add_flags(parser, entry)
-        args, extras = parser.parse_known_args(argv[len(names):])
+        args, extras = parser.parse_known_args(tokens)
         if not extras:
             return args
     return build_parser().parse_args(argv)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -556,8 +560,9 @@ def test_count_flags_reject_non_positive_values(capsys, flag, value):
 
 
 # Each flag is offered only by the subcommands that read it: --jobs by
-# family, --word-cap by cf sqrt and family, --strict by cf sqrt, pell scan
-# and family.  Everywhere else argparse rejects it.
+# family, --word-cap by cf sqrt and family, --strict by cf sqrt, the
+# minimal-Y pell scan --form and family (pell scan --D and --form ... --all
+# refuse it with exit 2).  Everywhere else argparse rejects it.
 @pytest.mark.parametrize("argv, flag", [
     (["identities", "--n-max", "3"], "--jobs 7"),
     (["identities", "--n-max", "3"], "--word-cap 1"),
@@ -928,6 +933,129 @@ def test_runnable_commands_never_build_the_full_tree(capsys, monkeypatch, argv, 
     assert (got_code, _digest(out), _digest(err)) == (code, out_sha, err_sha), (out, err)
 
 
+def _leaf(command):
+    """The ``_COMMANDS`` entry of a runnable command such as "cf sqrt"."""
+    first, *rest = command.split()
+    entry = cli._COMMANDS[first]
+    return entry[1][rest[0]] if rest else entry
+
+
+@functools.cache
+def _one_command_parser(command):
+    parser = argparse.ArgumentParser(prog=f"surdlab {command}")
+    cli._add_flags(parser, _leaf(command))
+    return parser
+
+
+def _reprs(namespace):
+    """``vars`` with each value's repr, so that two nan read the same."""
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+def _argparse_reading(command, tokens):
+    """The one-command parser's namespace, or None where it exits or leaves extras."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extras = _one_command_parser(command).parse_known_args(tokens)
+        except SystemExit:
+            return None
+    return None if extras else _reprs(args)
+
+
+def _fast_reading(command, tokens):
+    args = cli._read_argv(_leaf(command), tokens)
+    return None if args is None else _reprs(args)
+
+
+def _runnable(argv):
+    """``(command, tokens after it)``, or None when argv names no runnable command."""
+    return next(((command, argv[len(command.split()):]) for command in RUNNABLE
+                 if argv[:len(command.split())] == command.split()), None)
+
+
+GOLDEN_ARGV = [case for case in dict.fromkeys(case[0] for case in GOLDEN_MATRIX + ARGPARSE_GOLDEN)
+               if _runnable(shlex.split(case))]
+SERVED_ARGV = {case[0] for case in GOLDEN_MATRIX if case[1] == 0}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV)
+def test_read_argv_declines_or_equals_argparse_on_golden_argv(argv):
+    # Every exit-0 argv of the golden matrix, the benchmark's command
+    # shapes, is read without argparse.
+    command, tokens = _runnable(shlex.split(argv))
+    fast = _fast_reading(command, tokens)
+    assert fast is None or fast == _argparse_reading(command, tokens)
+    if argv in SERVED_ARGV:
+        assert fast is not None
+
+
+@pytest.mark.parametrize("command, tokens", [
+    ("cf sqrt", ["129", "-h"]),
+    ("cf sqrt", ["--help", "129"]),
+    ("cf sqrt", ["129", "--word", "3"]),
+    ("cf sqrt", ["129", "--word-cap=3"]),
+    ("cf sqrt", ["--", "129"]),
+    ("cf sqrt", ["-5"]),
+    ("cf sqrt", ["129", "--word-cap", "-3"]),
+    ("cf sqrt", ["129", "--strict", "--strict"]),
+    ("cf sqrt", ["129", "--format", "csv", "--format", "json"]),
+    ("cf sqrt", ["129", "130"]),
+    ("cf sqrt", ["129", "--format"]),
+    ("cf sqrt", []),
+    ("cf sqrt", ["x"]),
+    ("cf sqrt", ["129", "--format", "xml"]),
+    ("cf sqrt", ["129", "--word-cap", "0"]),
+    ("cf sqrt", ["129", "--jobs", "2"]),
+    ("expand sqrt", ["--form", "4^n + 1", "--n-range", "1..2"]),
+    ("expand sqrt", ["--form", "4^n + 1", "--j", "2", "--n-range", "1..2"]),
+    ("expand sqrt", ["--form", "4^n + 1", "--j", "0", "--n-range", "-2..1"]),
+    ("pell scan", ["--D", "33", "--C", "-1"]),
+    ("identities", ["3"]),
+])
+def test_read_argv_leaves_everything_else_to_argparse(command, tokens):
+    assert cli._read_argv(_leaf(command), tokens) is None
+
+
+def _mangled(rng, command):
+    """A FUZZ draw for command, its items shuffled, some shortened, joined
+    with "=", repeated, dropped or given bad, negative, empty or -h values,
+    and sometimes an extra token."""
+    flags = dict(cli._COMMON + _leaf(command)[2])
+    tokens = iter(FUZZ[command](rng) + ["--format", rng.choice(["text", "csv", "json"])])
+    items = [[token, next(tokens)] if token.startswith("--") and "action" not in flags[token]
+             else [token] for token in tokens]
+    for item in list(items):
+        edit = rng.randrange(40)
+        if edit == 0 and len(item[0]) > 4:
+            item[0] = item[0][:rng.randrange(3, len(item[0]))]
+        elif edit == 1 and len(item) == 2:
+            item[:] = ["=".join(item)]
+        elif edit == 2:
+            items.append(list(item))
+        elif edit == 3:
+            item.clear()
+        elif edit < 8:
+            item[-1] = rng.choice(["", "-5", "-h", "--help", "x", "0", "1.5", " 7", "-1..2"])
+    if rng.randrange(8) == 0:
+        items.append([rng.choice(["5", "-h", "--", "--bogus", "--jobs", "-1", "--strict"])])
+    if rng.randrange(2):
+        rng.shuffle(items)
+    return [token for item in items for token in item]
+
+
+def test_read_argv_declines_or_equals_argparse_on_fuzzed_argv():
+    rng = random.Random(23)
+    read = 0
+    for _ in range(600):
+        for command in RUNNABLE:
+            tokens = _mangled(rng, command)
+            fast = _fast_reading(command, tokens)
+            assert fast is None or fast == _argparse_reading(command, tokens), (command, tokens)
+            read += fast is not None
+    # Both outcomes are exercised: about a third of the lists are read.
+    assert 1000 < read < 5000
+
+
 def test_main_reads_sys_argv(capsys):
     code, out, err = run(capsys, "cf", "sqrt", "129")
     proc = _python("-m", "surdlab.cli", "cf", "sqrt", "129")
@@ -944,6 +1072,20 @@ def test_main_reads_sys_argv_unrecognized_arguments(capsys, monkeypatch):
     assert err.startswith("usage: surdlab [-h]\n")
     assert "{cf,pell,growth,profile,hypothesis,expand,family,identities}" in err
     assert err.endswith("surdlab: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("family --form '2^n' --n 1..2 --jobs 0", 2),
+    ("cf sqrt -h", 0),
+])
+def test_argparse_answers_in_a_fresh_interpreter(capsys, monkeypatch, argv, code):
+    # argparse is imported only where help or an error needs it, so these
+    # paths must import it themselves; in-process it is loaded already.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = shlex.split(argv)
+    proc = _python("-S", "-m", "surdlab.cli", *argv)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == run_exit(capsys, argv)
+    assert proc.returncode == code
 
 
 def test_expand_single_term_form_refuses_negative_n(capsys):
@@ -971,7 +1113,7 @@ def _python(*args, **kwargs):
 
 
 @pytest.mark.parametrize("module", ["multiprocessing", "surdlab.intervals", "dataclasses",
-                                    "typing", "inspect"])
+                                    "typing", "inspect", "argparse", "re"])
 def test_cli_import_leaves_multiprocessing_out(module):
     # -S: without site, whose .pth files may import typing themselves.
     proc = _python("-S", "-c", f"import sys, surdlab.cli; print({module!r} in sys.modules)")
@@ -985,7 +1127,8 @@ _LOADED_BY = (
     "from surdlab.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "print((sorted(m for m in sys.modules if m.partition('.')[0] == 'surdlab'),\n"
-    "       [m for m in ('fractions', 'decimal', 'json', 'multiprocessing') if m in sys.modules]),\n"
+    "       [m for m in ('fractions', 'decimal', 'json', 'multiprocessing', 'argparse', 're')\n"
+    "        if m in sys.modules]),\n"
     "      file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
@@ -999,8 +1142,9 @@ def test_cf_commands_load_only_surd_and_the_emitter(argv):
     assert (proc.returncode, _digest(proc.stdout.decode())) == (code, out_sha), proc.stderr
     modules, stdlib = ast.literal_eval(proc.stderr.decode())
     assert modules == ["surdlab", "surdlab.cli", "surdlab.harness", "surdlab.surd"]
-    # json only where json is printed.
-    assert stdlib == (["json"] if "json" in argv else [])
+    # json only where json is printed, and re with it (json's decoder
+    # imports it); argparse never.
+    assert stdlib == (["json", "re"] if "json" in argv else [])
 
 
 def test_import_surdlab_loads_no_submodule():
