@@ -15,6 +15,8 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 
+from .harness import int_str
+
 
 class FormSyntaxError(ValueError):
     """Text that does not match the form syntax accepted by ``parse_form``."""
@@ -271,8 +273,8 @@ def parse_form(text: str) -> PowerSumForm:
 
 def _fmt_rational(x: Fraction, parens: bool) -> str:
     if x.denominator == 1:
-        return str(x.numerator)
-    body = f"{x.numerator}/{x.denominator}"
+        return int_str(x.numerator)
+    body = f"{int_str(x.numerator)}/{int_str(x.denominator)}"
     return f"({body})" if parens else body
 
 

@@ -21,17 +21,19 @@ families, ``_identity_families``: h**2 + 1 and (v*w)**2 + 2*w.
 
 ``emit_table`` turns columns and rows of raw values into CSV, JSON or
 ``label: value`` text; every CLI subcommand prints through it, and
-``emit`` is its entry point for family records.  ``forms`` and ``json``
-are imported where they are used, so a command that only emits, such as
-``cf sqrt``, loads neither.
+``emit`` is its entry point for family records.  Its text and CSV cells
+print ints with ``int_str``, which ``forms`` shares.  ``forms``, ``json``
+and ``decimal`` are imported where they are used, so a command that only
+emits small numbers, such as ``cf sqrt``, loads none of them.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from functools import partial
+from functools import cache, partial
 
 from .surd import (
     DEFAULT_WORD_CAP,
@@ -255,14 +257,52 @@ def run_identity_checks(n_max: int = 10) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
+# Bits past which ``int_str`` beats Python 3.11's quadratic ``str``:
+# both take ~1.4 ms at 32,000 bits, measured on a 2-core VM.
+_STR_BITS = 32_000
+
+
+def int_str(n: int) -> str:
+    """``str(n)`` for any int, by divide and conquer past ``_STR_BITS`` bits.
+
+    CPython 3.12's method (``_pylong.int_to_decimal_string``; Brent &
+    Zimmermann, *Modern Computer Arithmetic*, 1.7): split at bit w/2 and
+    form lo + hi*2**(w/2) exactly in ``Decimal``, whose products are
+    subquadratic, down to ``Decimal(m)`` at 2,048 bits.  Inexact and
+    Rounded are trapped, so a wrong digit raises instead of printing.
+    While the interpreter's int digit limit is set, ``str`` answers, and
+    refuses past it; ``cli.main`` lifts that limit.
+    """
+    if n.bit_length() <= _STR_BITS or sys.get_int_max_str_digits():
+        return str(n)
+    import decimal
+
+    @cache
+    def power(w: int) -> decimal.Decimal:  # 2**w, kept for this call only
+        return decimal.Decimal(2) ** w if w <= 2048 else power(w >> 1) * power(w - (w >> 1))
+
+    def digits(m: int, w: int) -> decimal.Decimal:  # Decimal(m), m < 2**w
+        if w <= 2048:
+            return decimal.Decimal(m)
+        w2 = w >> 1
+        hi = m >> w2
+        return digits(m - (hi << w2), w2) + digits(hi, w - w2) * power(w2)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        return ("-" if n < 0 else "") + str(digits(abs(n), n.bit_length()))
+
+
 def _cell(value) -> str:
+    """One text or CSV cell, by the rule ``emit_table`` states."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.6f}"
-    return str(value)
+    return int_str(value) if isinstance(value, int) else str(value)
 
 
 def emit_table(
@@ -278,10 +318,12 @@ def emit_table(
     ``csv`` is a header line and one line per row.  ``text`` is one
     ``label: value`` line per cell, for one-record commands.  Their cells
     follow one rule: None is empty, booleans are ``true``/``false``,
-    floats get six decimals, anything else is ``str``; a cell that needs
-    another rendering is passed as a string.  ``json`` is one object per
-    row, as a list or as whatever ``wrap`` builds from that list, on one
-    line unless ``indent`` is given.  Every line ends in a newline.
+    floats get six decimals, ints are ``int_str`` (the bytes of ``str``,
+    by divide and conquer past ~32,000 bits), anything else is ``str``; a
+    cell that needs another rendering is passed as a string.  ``json``
+    is ``json.dumps`` of one object per row, as a list or as whatever
+    ``wrap`` builds from that list, on one line unless ``indent`` is
+    given.  Every line ends in a newline.
     """
     if format == "json":
         import json

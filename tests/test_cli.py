@@ -79,6 +79,23 @@ def test_cf_pell(capsys):
     assert json.loads(out) == {"D": 33, "X": 23, "Y": 4, "value": 1}
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_cf_pell_prints_the_digits_of_a_big_solution(capsys, fmt):
+    # X and Y of 5000000029 have ~54,000 bits: text and CSV cells render
+    # them by divide and conquer, JSON through json.dumps.
+    D = 5_000_000_029
+    X, Y, value = surd.fundamental_pell(D)
+    assert Y.bit_length() > harness._STR_BITS
+    code, out, _ = run(capsys, "cf", "pell", str(D), "--format", fmt)
+    assert code == 0
+    expected = {
+        "text": f"X: {X}\nY: {Y}\nvalue: {value}\n",
+        "csv": f"D,X,Y,value\n{D},{X},{Y},{value}\n",
+        "json": f'{{"D": {D}, "X": {X}, "Y": {Y}, "value": {value}}}\n',
+    }
+    assert out == expected[fmt]
+
+
 def test_cf_sqrt_strict_word_cap(capsys):
     code, out, _ = run(capsys, "cf", "sqrt", "129", "--word-cap", "4", "--strict")
     assert code == 3

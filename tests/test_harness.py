@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import decimal
 import json
 import multiprocessing
 import os
+import random
 import signal
+import sys
 import time
 
 import pytest
@@ -18,6 +21,7 @@ from surdlab.harness import (
     FamilyRecord,
     emit,
     emit_table,
+    int_str,
     run_family,
     run_identity_checks,
     suffix_min_periods,
@@ -157,6 +161,61 @@ def test_emit_table_cell_rule_and_json_shapes():
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit([], "xml")
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Set the interpreter's int str() digit limit; 0 lifts it, as ``cli.main`` does."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _int_str_cases():
+    """Seeded ints around ``_STR_BITS`` and past it, both signs."""
+    rng = random.Random(24)
+    bits = harness._STR_BITS
+    sizes = [rng.randrange(1, 2 * bits) for _ in range(40)]
+    sizes += [rng.randrange(bits - 40, bits + 40) for _ in range(30)]
+    sizes += [rng.randrange(2 * bits, 250_000) for _ in range(6)]
+    values = [rng.getrandbits(b) | 1 << (b - 1) for b in sizes]
+    values += [2**k for k in (bits - 1, bits, bits + 1, 65_536, 250_001)]
+    values += [10**k + e for k in (9_632, 9_633, 20_000, 60_000) for e in (-1, 0, 1)]
+    # Long runs of zeros, binary and decimal, in the lower half.
+    for b in (bits + 1, 2 * bits + 7, 5 * bits):
+        values += [(1 << b) + 1, (rng.getrandbits(b // 2) << b) + rng.getrandbits(40)]
+        values += [rng.getrandbits(b) * 10**(b // 5) + rng.randrange(10**6)]
+    return values + [-v for v in values] + [rng.getrandbits(1_000_000)]
+
+
+def test_int_str_equals_str():
+    values = _int_str_cases()
+    assert sum(abs(v).bit_length() > harness._STR_BITS for v in values) > 100
+    with digit_limit(0):
+        for v in values:
+            assert int_str(v) == str(v), v.bit_length()
+        for v in (0, 1, -1, 10**100):
+            assert int_str(v) == str(v)
+    # Its exact context was a local one.
+    assert decimal.getcontext().prec == decimal.Context().prec
+
+
+def test_int_str_keeps_the_digit_limit_of_str():
+    big = 3**40_000
+    assert big.bit_length() > harness._STR_BITS
+    with digit_limit(4300), pytest.raises(ValueError, match="limit"):
+        int_str(big)
+
+
+def test_emit_table_cells_render_big_ints_exactly():
+    big = 3**40_000
+    rows = [(big, -big, True)]
+    with digit_limit(0):
+        assert emit_table(("a", "b", "c"), rows, "csv") == f"a,b,c\n{big},{-big},true\n"
+        assert emit_table(("a", "b", "c"), rows, "text") == f"a: {big}\nb: {-big}\nc: true\n"
 
 
 def test_config_validation():

@@ -186,11 +186,12 @@ def assert_midpoint_walk_matches_oracle(D: int) -> int:
     """The midpoint walk against the full classical walk of ``plain_period``; r.
 
     ``cf_sqrt`` runs at word caps around r and ``period_length`` once.
-    ``_midpoint_walk`` runs with below in {0, 2, 50} at each of these keeps:
-    keep = 0..3 hands the walk to its second loop after step 1 or 2,
-    keep = r - 1 and r + 1 just before or at the midpoint, and keep >= r
-    not at all, so the second loop starts on either parity of step and
-    stops in each of its four places.
+    ``_midpoint_walk`` runs with below in {0, 2, 50} and at each record
+    low d_j of the first half (below = d_j + 1 stops it at step j, of
+    either parity), at each of these keeps: keep = 0..3 hands the walk to
+    its second loop after step 1 or 2, keep = r - 2 .. r + 2 around the
+    midpoint, and keep >= r not at all, so the second loop starts on
+    either parity of step and stops in each of its four places.
     """
     a0 = math.isqrt(D)
     period = plain_period(D)
@@ -201,11 +202,24 @@ def assert_midpoint_walk_matches_oracle(D: int) -> int:
     assert period_length(D) == r
     for cap in {1, 2, r - 1, r, r + 1, DEFAULT_WORD_CAP} - {0}:
         assert cf_sqrt(D, cap) == CFExpansion(D, a0, word if r <= cap else None, r)
-    for keep in {0, 1, 2, 3, r - 1, r, r + 1, 10**6}:
-        for below in (0, 2, 50):
+    belows = {0, 2, 50, *(period[1][j] + 1 for j in record_steps(period[1]))}
+    for keep in {0, 1, 2, 3, max(r - 2, 0), r - 1, r, r + 1, r + 2, 10**6}:
+        for below in belows:
             assert (surd._midpoint_walk(D, a0, keep, below)
                     == plain_midpoint_walk(D, keep, below, period)), (D, keep, below)
     return r
+
+
+def record_steps(dens: list[int]) -> list[int]:
+    """Each j in 1..r // 2 whose d_j is below every d_i, 0 < i < j.
+
+    ``dens`` is d_0 .. d_r, as ``plain_period`` gives it.
+    """
+    steps = []
+    for j in range(1, (len(dens) - 1) // 2 + 1):
+        if not steps or dens[j] < dens[steps[-1]]:
+            steps.append(j)
+    return steps
 
 
 def test_midpoint_walk_matches_full_walk_below_20000():
@@ -214,6 +228,30 @@ def test_midpoint_walk_matches_full_walk_below_20000():
         if not is_perfect_square(D):
             periods.add(assert_midpoint_walk_matches_oracle(D))
     assert set(range(1, 30)) <= periods
+    # The record lows stop the walk on both steps of its two-step turn.
+    assert {j % 2 for D in range(2, 200) if not is_perfect_square(D)
+            for j in record_steps(plain_period(D)[1])} == {0, 1}
+
+
+def test_midpoint_walk_matches_oracle_on_seeded_draws():
+    # Ten seeded (keep, below) draws, around r and the d_j, for each of
+    # ~1,200 D, word-size and multi-limb: ~12,000 draws.
+    rng = random.Random(24)
+    pool = [D for D in rng.sample(range(2, 10**6), 1_000) if not is_perfect_square(D)]
+    pool += seeded_multilimb_D()
+    draws = 0
+    for D in pool:
+        period = plain_period(D)
+        r, dens = len(period[0]), period[1]
+        for _ in range(10):
+            keep = rng.choice([0, 1, 2, 3, r, rng.randrange(max(r - 3, 0), r + 4),
+                               rng.randrange(0, 2 * r + 4)])
+            below = rng.choice([0, 2, 3, rng.randrange(0, 100), rng.choice(dens) + 1,
+                                rng.choice(dens) + rng.randrange(-1, 2)])
+            assert (surd._midpoint_walk(D, math.isqrt(D), keep, below)
+                    == plain_midpoint_walk(D, keep, below, period)), (D, keep, below)
+            draws += 1
+    assert draws >= 10_000
 
 
 def test_midpoint_walk_matches_full_walk_on_title_family():
@@ -455,9 +493,13 @@ def test_fundamental_pell_has_no_period_cap():
 
 
 def _count_to(limit):
-    """A stand-in for ``itertools.count`` that fails past ``limit`` steps."""
-    def counted():
-        yield from range(limit)
+    """A stand-in for ``itertools.count`` that fails past ``limit`` steps.
+
+    A loop of two steps per turn, ``count(0, 2)``, fails once a turn would
+    start at step ``limit`` or later, so it passes with up to ``limit`` + 1.
+    """
+    def counted(start=0, step=1):
+        yield from range(start, limit, step)
         raise AssertionError(f"walk past {limit} steps")
     return counted
 
