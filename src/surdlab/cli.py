@@ -5,13 +5,12 @@ identities.  Exit codes: 0 success, 1 identity-check failure,
 2 invalid input, 3 resource cap hit (fatal caps always; soft caps only
 under --strict).  ``_COMMANDS`` holds each command's help, run function
 and flags, and is the only place a flag is declared.  ``main`` reads
-well-formed argv of a runnable command straight from that entry, and
-imports argparse only for help and errors: then it builds the argparse
-parser of the one command that argv names, and the full tree
-(``build_parser``) only for help and errors above that command or for
-arguments that command does not take.  It then calls ``args.run``, which
-every reading sets, and writes the output it collected once, to --out or
-stdout (an --out it cannot write is exit 2, before the run where it can tell).
+well-formed argv of a runnable command straight from that entry, without
+argparse; every other argv goes to the one parser tree (``build_parser``),
+which imports argparse and writes every help, usage and error byte.  It
+then calls ``args.run``, which either reading sets, and writes the output
+it collected once, to --out or stdout (an --out it cannot write is exit 2,
+before the run where it can tell).
 A run function imports the modules its command uses when it runs, so the
 ``cf`` commands load only ``surd`` and ``harness``, and no argparse.
 """
@@ -79,12 +78,6 @@ _COMMON = (
                       "identities, csv otherwise)")),
     ("--out", dict(default=None, help="write output to FILE instead of stdout")),
 )
-
-
-def _add_flags(parser, leaf: tuple) -> None:
-    for name, kwargs in _COMMON + leaf[2]:
-        parser.add_argument(name, **kwargs)
-    parser.set_defaults(run=leaf[1])
 
 
 def _format(args, *formats: str) -> str:
@@ -358,7 +351,7 @@ def _run_identities(args, out: list[str]) -> int:
 # command -> (help, {subcommand: (help, run, flags)}) for a group; a
 # command's parser takes _COMMON and then its flags, and sets ``run``.  The
 # one definition of the command line: build_parser() builds all of it,
-# _parse_args() only the command that argv names, and main() calls args.run.
+# _read_argv() reads one command's well-formed argv, and main() calls args.run.
 _COMMANDS = {
     "cf": ("continued fraction of sqrt(D)", {
         "sqrt": ("a0, period word and r", _run_cf_sqrt, (
@@ -444,7 +437,9 @@ def build_parser():
         else:
             leaves = [(sub.add_parser(command, help=entry[0]), entry)]
         for p, leaf in leaves:
-            _add_flags(p, leaf)
+            for name, kwargs in _COMMON + leaf[2]:
+                p.add_argument(name, **kwargs)
+            p.set_defaults(run=leaf[1])
     return parser
 
 
@@ -490,28 +485,15 @@ def _parse_args(argv: list[str]):
 
     When argv starts with a runnable command, ``_read_argv`` reads it from
     that command's entry in ``_COMMANDS``, and argparse is not imported.
-    Argv it declines builds only that command's parser, which prints that
-    command's help and errors itself and sets none of the tree's subparser
-    dests.  Argv that names no runnable command, or that the command's
-    parser leaves partly unrecognized, goes to the full tree, which prints
-    the help, usage and errors of the levels above.
+    Argv it declines, and argv that names no runnable command, goes to the
+    full tree.
     """
-    entry, names = (None, _COMMANDS), []  # the root, shaped as a group
-    for name in argv[:2]:
-        if not isinstance(entry[1], dict) or name not in entry[1]:
-            break
-        entry = entry[1][name]
-        names.append(name)
+    entry, tokens = (None, _COMMANDS), argv  # the root, shaped as a group
+    while isinstance(entry[1], dict) and tokens and tokens[0] in entry[1]:
+        entry, tokens = entry[1][tokens[0]], tokens[1:]
     if not isinstance(entry[1], dict):
-        tokens = argv[len(names):]
         args = _read_argv(entry, tokens)
         if args is not None:
-            return args
-        import argparse
-        parser = argparse.ArgumentParser(prog=" ".join(["surdlab", *names]))
-        _add_flags(parser, entry)
-        args, extras = parser.parse_known_args(tokens)
-        if not extras:
             return args
     return build_parser().parse_args(argv)
 
@@ -519,7 +501,7 @@ def _parse_args(argv: list[str]):
 def _check_out(path: str) -> None:
     """Raise open(path, "w")'s error, as ValueError, where the path alone decides it."""
     try:
-        os.stat(os.path.join(os.path.dirname(path), "."))
+        os.stat(os.path.join(os.path.dirname(path), ".") if path else path)
     except OSError as exc:
         exc.filename = path
         raise ValueError(exc) from None
@@ -534,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     out: list[str] = []
     try:
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         code = args.run(args, out)
     except ResourceLimitError as exc:
@@ -544,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     data = "".join(out)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(data)

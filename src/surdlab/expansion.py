@@ -223,9 +223,9 @@ def error_table(
     before any row, single-term forms too.
 
     The bounds are Moore interval arithmetic on integer endpoints.  Both
-    square roots are bracketed as in ``intervals.sqrt_interval``:
-    ``sqrt(p/q)`` lies in ``[s, s + 1]/(q << bits)`` with
-    ``s = isqrt(p*q << 2*bits)`` for the reduced ``p/q``, here
+    square roots are bracketed the same way: ``sqrt(p/q)`` lies in
+    ``[s, s + 1]/(q << bits)`` with ``s = isqrt(p*q << 2*bits)`` for the
+    reduced ``p/q``, here
     ``source(n) = N/L`` (reduced against the small ``L``) and
     ``lead*B**n = a*B**n/lq`` (reduced against ``lq``).  The series factor
     ``f1(n)/B**(k*n)`` is ``S/(M*B**(k*n))`` with ``S`` an integer, so every

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import functools
@@ -369,6 +368,9 @@ def test_out_is_checked_before_the_work(tmp_path, capsys, monkeypatch):
     assert run(capsys, *argv, str(tmp_path)) == (
         2, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
     assert not missing.parent.exists()
+    # An empty path is open's error too, not stdout; by either spelling.
+    for empty in ((*argv, ""), (*argv[:-1], "--out=")):
+        assert run(capsys, *empty) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
 def test_out_is_untouched_when_the_run_exits_3(tmp_path, capsys):
@@ -906,48 +908,45 @@ def _parsed(capsys, parse, argv):
         return exc.code, captured.out, captured.err
 
 
+def _without_subparser_dests(reading):
+    """A ``vars`` dict less the tree's subparser dests, which name its
+    "required" errors; no command reads them, and ``_read_argv`` sets neither."""
+    if not isinstance(reading, dict):
+        return reading
+    return {key: value for key, value in reading.items()
+            if key != "command" and not key.endswith("_command")}
+
+
 @pytest.mark.parametrize("argv", [case[0] for case in GOLDEN_MATRIX + ARGPARSE_GOLDEN])
-def test_one_command_parse_equals_full_tree(capsys, monkeypatch, argv):
+def test_parse_args_equals_full_tree(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     argv = shlex.split(argv)
     full = _parsed(capsys, lambda a: cli.build_parser().parse_args(a), argv)
-    if isinstance(full, dict):
-        # The tree's subparser dests, which name its "required" errors; no
-        # command reads them, and the one-command parser sets neither.
-        full = {key: value for key, value in full.items()
-                if key != "command" and not key.endswith("_command")}
-    assert _parsed(capsys, cli._parse_args, argv) == full
+    assert (_without_subparser_dests(_parsed(capsys, cli._parse_args, argv))
+            == _without_subparser_dests(full))
+
+
+@pytest.mark.parametrize("declined, spelled", [
+    ("cf sqrt 129 --word-cap=3", "cf sqrt 129 --word-cap 3"),
+    ("cf sqrt 129 --word 3", "cf sqrt 129 --word-cap 3"),
+    ("cf sqrt -- 129", "cf sqrt 129"),
+    ("family --pre title --n 1..3", "family --preset title --n 1..3"),
+    ("expand sqrt --form=-2^n+9^n --j 0 --n-range 1..3",
+     "expand sqrt --form '9^n - 2^n' --j 0 --n-range 1..3"),
+])
+def test_declined_valid_argv_runs_through_the_tree(capsys, monkeypatch, declined, spelled):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    expected = run_exit(capsys, shlex.split(spelled))
+    assert built == []
+    assert run_exit(capsys, shlex.split(declined)) == expected
+    assert built == [1]
+    assert expected[0] == 0
 
 
 RUNNABLE = ["cf sqrt", "cf period", "cf pell", "pell scan", "growth denom", "profile pq",
             "hypothesis check", "expand sqrt", "family", "identities"]
-# ARGPARSE_GOLDEN argv that a runnable command's own parser answers whole.
-ONE_PARSER_ARGV = [f"{command} {flag}" for command in RUNNABLE for flag in ("-h", "--help")] + [
-    "cf sqrt x",
-    "expand sqrt --form '4^n + 1' --j 2 --n-range 1..2",
-    "cf sqrt 5 --format xml",
-    "hypothesis check",
-    "cf sqrt -- 5",
-    "cf sqrt 129 --word 3",
-]
-
-
-ARGPARSE_BY_ARGV = {case[0]: case for case in ARGPARSE_GOLDEN}
-ONE_PARSER_CASES = ([case for case in GOLDEN_MATRIX if case[1] == 0]
-                    + [ARGPARSE_BY_ARGV[argv] for argv in ONE_PARSER_ARGV])
-
-
-@pytest.mark.parametrize("argv, code, out_sha, err_sha", ONE_PARSER_CASES,
-                         ids=[case[0] for case in ONE_PARSER_CASES])
-def test_runnable_commands_never_build_the_full_tree(capsys, monkeypatch, argv, code,
-                                                      out_sha, err_sha):
-    def full_tree():
-        raise AssertionError("the full parser tree was built")
-
-    monkeypatch.setattr(cli, "build_parser", full_tree)
-    monkeypatch.setenv("COLUMNS", "80")
-    got_code, out, err = run_exit(capsys, shlex.split(argv))
-    assert (got_code, _digest(out), _digest(err)) == (code, out_sha, err_sha), (out, err)
 
 
 def _leaf(command):
@@ -958,10 +957,8 @@ def _leaf(command):
 
 
 @functools.cache
-def _one_command_parser(command):
-    parser = argparse.ArgumentParser(prog=f"surdlab {command}")
-    cli._add_flags(parser, _leaf(command))
-    return parser
+def _tree():
+    return cli.build_parser()
 
 
 def _reprs(namespace):
@@ -970,13 +967,14 @@ def _reprs(namespace):
 
 
 def _argparse_reading(command, tokens):
-    """The one-command parser's namespace, or None where it exits or leaves extras."""
+    """The tree's namespace for command and tokens, less its subparser dests,
+    or None where it exits or leaves extras."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            args, extras = _one_command_parser(command).parse_known_args(tokens)
+            args, extras = _tree().parse_known_args([*command.split(), *tokens])
         except SystemExit:
             return None
-    return None if extras else _reprs(args)
+    return None if extras else _without_subparser_dests(_reprs(args))
 
 
 def _fast_reading(command, tokens):
@@ -1094,10 +1092,12 @@ def test_main_reads_sys_argv_unrecognized_arguments(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, code", [
     ("family --form '2^n' --n 1..2 --jobs 0", 2),
     ("cf sqrt -h", 0),
+    ("cf sqrt 129 --word-cap=3", 0),
 ])
 def test_argparse_answers_in_a_fresh_interpreter(capsys, monkeypatch, argv, code):
-    # argparse is imported only where help or an error needs it, so these
-    # paths must import it themselves; in-process it is loaded already.
+    # argparse is imported only where help, an error or a declined spelling
+    # needs it, so these paths must import it themselves; in-process it is
+    # loaded already.
     monkeypatch.setenv("COLUMNS", "80")
     argv = shlex.split(argv)
     proc = _python("-S", "-m", "surdlab.cli", *argv)
