@@ -70,23 +70,29 @@ def sqrt_rational(x: Fraction) -> Fraction | None:
     return None
 
 
+def _log(x: Fraction) -> float:
+    """Natural log of a positive rational, near 1 or past the float range too."""
+    n, d = x.numerator, x.denominator
+    return math.log1p((n - d) / d) if abs(n - d) < d else math.log(n) - math.log(d)
+
+
 def _floor_log_ratio(x: Fraction, base: Fraction) -> int:
     """Largest t >= 0 with base**t <= x, by exact comparison.
 
-    Galloping then bisecting over t takes O(log t) powers, so a base near 1
-    (t in the thousands) is measured at once and refused by the caller.
+    The float logs put t within a step of the answer, so one exact power
+    and a multiplication or two settle it: a base near 1 (t in the tens of
+    thousands) is measured at once and refused by the caller.
     """
     if base <= 1 or x < 1:
         raise ValueError("requires base > 1 and x >= 1")
-    t, step = 0, 1
-    while base ** (t + step) <= x:
-        t += step
-        step *= 2
-    # base**t <= x < base**(t + step)
-    while step > 1:
-        step //= 2
-        if base ** (t + step) <= x:
-            t += step
+    t = int(_log(x) / _log(base))
+    power = base**t
+    while t > 0 and power > x:
+        t -= 1
+        power /= base
+    while power * base <= x:
+        t += 1
+        power *= base
     return t
 
 

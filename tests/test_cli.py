@@ -947,6 +947,44 @@ def test_declined_valid_argv_runs_through_the_tree(capsys, monkeypatch, declined
 
 RUNNABLE = ["cf sqrt", "cf period", "cf pell", "pell scan", "growth denom", "profile pq",
             "hypothesis check", "expand sqrt", "family", "identities"]
+# ARGPARSE_GOLDEN argv that name a runnable command but that ``_read_argv``
+# declines: help, errors and spellings it leaves to the tree.
+DECLINED_ARGV = [f"{command} {flag}" for command in RUNNABLE for flag in ("-h", "--help")] + [
+    "cf sqrt x",
+    "expand sqrt --form '4^n + 1' --j 2 --n-range 1..2",
+    "cf sqrt 5 --format xml",
+    "hypothesis check",
+    "cf sqrt -- 5",
+    "cf sqrt 129 --word 3",
+]
+ARGPARSE_BY_ARGV = {case[0]: case for case in ARGPARSE_GOLDEN}
+RUN_CASES = [case for case in GOLDEN_MATRIX if case[1] == 0]
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", RUN_CASES,
+                         ids=[case[0] for case in RUN_CASES])
+def test_runnable_commands_never_build_the_full_tree(capsys, monkeypatch, argv, code,
+                                                      out_sha, err_sha):
+    def full_tree():
+        raise AssertionError("the full parser tree was built")
+
+    monkeypatch.setattr(cli, "build_parser", full_tree)
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, out, err = run_exit(capsys, shlex.split(argv))
+    assert (got_code, _digest(out), _digest(err)) == (code, out_sha, err_sha), (out, err)
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha",
+                         [ARGPARSE_BY_ARGV[argv] for argv in DECLINED_ARGV], ids=DECLINED_ARGV)
+def test_declined_argv_build_the_full_tree_once(capsys, monkeypatch, argv, code,
+                                                out_sha, err_sha):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, out, err = run_exit(capsys, shlex.split(argv))
+    assert (got_code, _digest(out), _digest(err)) == (code, out_sha, err_sha), (out, err)
+    assert built == [1]
 
 
 def _leaf(command):

@@ -329,6 +329,16 @@ def test_series_of_a_wide_near_one_tail_is_refused():
         sqrt_approximation(f, 0)
 
 
+def test_deep_series_is_measured_and_refused_at_once():
+    # Ratio 9187/9186: the depth is 83,832, so base**t has ~1.1 M bits;
+    # galloping and bisecting to it took ~7 s of exact powers.
+    f = parse_form("(1/8)*9187^n + (1/8)*1^n + (1/8)*9186^n")
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="root series depth 83832 exceeds cap 256"):
+        sqrt_approximation(f, 0)
+    assert time.perf_counter() - start < 2.0
+
+
 def _term_text(coef):
     return str(coef) if coef.denominator == 1 else f"({coef})"
 
