@@ -289,14 +289,16 @@ def _run_expand(args, out: list[str]) -> int:
     print(f"# f1 = {f1}, k = {approx.depth}, lead = {approx.lead_coefficient}, "
           f"error_base = {approx.error_base}", file=sys.stderr)
     fmt = _format(args, "csv", "json")
-    rows = []
-    for n, err, decay in error_table(approx, _parse_n_range(args.n_range)):
-        errors = [_float(*pair) for pair in err]
-        decays = [None, None] if decay is None else [_float(*pair) for pair in decay]
-        if fmt == "csv":
-            errors = [f"{e:.6e}" for e in errors]
-            decays = [None if d is None else f"{d:.4f}" for d in decays]
-        rows.append((n, *errors, *decays))
+    csv, rows = fmt == "csv", []
+    for n, (lo, hi), decay in error_table(approx, _parse_n_range(args.n_range)):
+        lo, hi = _float(*lo), _float(*hi)
+        row = [n, f"{lo:.6e}", f"{hi:.6e}"] if csv else [n, lo, hi]
+        if decay is None:
+            row += (None, None)
+        else:
+            lo, hi = _float(*decay[0]), _float(*decay[1])
+            row += (f"{lo:.4f}", f"{hi:.4f}") if csv else (lo, hi)
+        rows.append(row)
     out.append(harness.emit_table(
         ("n", "error_low", "error_high", "decay_low", "decay_high"), rows, fmt, indent=2,
         wrap=lambda objects: {

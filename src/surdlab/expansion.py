@@ -31,6 +31,7 @@ from fractions import Fraction
 from .forms import (
     PowerSumForm,
     ZERO,
+    _canonical,
     _check_n,
     add,
     classify,
@@ -98,7 +99,7 @@ def _floor_log_ratio(x: Fraction, base: Fraction) -> int:
 
 def _prune(f: PowerSumForm, threshold: Fraction, keep_equal: bool) -> PowerSumForm:
     keep = operator.ge if keep_equal else operator.gt
-    return PowerSumForm(t for t in f if keep(t[1], threshold))
+    return _canonical([t for t in f if keep(t[1], threshold)])
 
 
 def _root_series(

@@ -5,6 +5,9 @@ rational coefficients ``a_i`` and positive rational bases ``b_i``.  All
 arithmetic here is exact.  Coefficients and bases are ``Fraction``s;
 evaluation at a non-negative integer ``n`` sums integer numerators over
 one common denominator and returns one exact ``Fraction``.
+``PowerSumForm(terms)`` checks the terms it is given (outside terms,
+pickles); ``normalize``, ``scale``, ``relative_tail``, ``compose_affine``
+and ``expansion._prune`` build canonical terms and skip that check.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import partial
 
 from .harness import int_str
 
@@ -25,7 +29,7 @@ class FormSyntaxError(ValueError):
 def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class PowerSumForm(tuple):
@@ -39,7 +43,8 @@ class PowerSumForm(tuple):
     safe to share between threads or processes.
 
     Build instances with :func:`normalize` (or the arithmetic helpers)
-    rather than by hand.
+    rather than by hand.  The constructor checks every term it is given;
+    the builders skip that check through ``_canonical``.
     """
 
     __slots__ = ()
@@ -72,6 +77,8 @@ class PowerSumForm(tuple):
 
 
 ZERO = PowerSumForm()
+# Wraps terms that are canonical by construction, without re-checking them.
+_canonical = partial(tuple.__new__, PowerSumForm)
 
 
 def normalize(raw_terms: Iterable[tuple]) -> PowerSumForm:
@@ -87,15 +94,12 @@ def normalize(raw_terms: Iterable[tuple]) -> PowerSumForm:
     merged: dict[Fraction, Fraction] = {}
     for coef, base in raw_terms:
         coef, base = _frac(coef), _frac(base)
-        if base <= 0:
+        if base.numerator <= 0:  # a Fraction's denominator is positive
             raise ValueError(f"invalid base {base}: bases must be positive")
-        merged[base] = merged.get(base, Fraction(0)) + coef
-    terms = tuple(
-        (coef, base)
-        for base, coef in sorted(merged.items(), key=lambda kv: kv[0], reverse=True)
-        if coef != 0
-    )
-    return PowerSumForm(terms)
+        prev = merged.get(base)
+        merged[base] = coef if prev is None else prev + coef
+    return _canonical([(coef, base) for base in sorted(merged, reverse=True)
+                       if (coef := merged[base])])
 
 
 def constant(c) -> PowerSumForm:
@@ -116,7 +120,7 @@ def scale(f: PowerSumForm, c) -> PowerSumForm:
     c = _frac(c)
     if c == 0:
         return ZERO
-    return PowerSumForm((coef * c, base) for coef, base in f)
+    return _canonical([(coef * c, base) for coef, base in f])
 
 
 def compose_affine(f: PowerSumForm, j: int) -> PowerSumForm:
@@ -124,11 +128,12 @@ def compose_affine(f: PowerSumForm, j: int) -> PowerSumForm:
 
     Each term ``(a, b)`` becomes ``(a*b**j, b**2)``; in particular the
     leading base of the result is a perfect square whenever the input
-    bases are integers.
+    bases are integers.  Squaring keeps positive bases distinct and in
+    order, so nothing merges.
     """
     if j not in (0, 1):
         raise ValueError(f"invalid argument j={j}: must be 0 or 1")
-    return normalize([(coef * base**j, base * base) for coef, base in f])
+    return _canonical([(coef * base**j, base * base) for coef, base in f])
 
 
 def _check_n(n: int) -> None:
@@ -192,7 +197,7 @@ def relative_tail(f: PowerSumForm) -> PowerSumForm:
     a1, b1 = dominant(f)
     if a1 <= 0:
         raise ValueError("leading coefficient must be positive")
-    return PowerSumForm((coef / a1, base / b1) for coef, base in f[1:])
+    return _canonical([(coef / a1, base / b1) for coef, base in f[1:]])
 
 
 # Which ring a form inhabits.  ``integral_coefficients`` means integer

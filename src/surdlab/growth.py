@@ -179,8 +179,8 @@ def partial_quotient_profile(
     than ``DEFAULT_DIGIT_BUDGET`` digits.  Below that the walk is bounded:
     q_j >= phi**(j - 1) stops it within about 2.08*c*n steps.
     """
-    if not c > 0:
-        raise ValueError(f"invalid c={c}: must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"invalid c={c}: must be {'finite' if c > 0 else 'positive'}")
     D, a0, note = _radicand(eval_exact(f, n))
     if note:
         return note

@@ -296,6 +296,8 @@ def int_str(n: int) -> str:
 
 def _cell(value) -> str:
     """One text or CSV cell, by the rule ``emit_table`` states."""
+    if type(value) is str:
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -543,13 +543,28 @@ def test_profile_pq_golden_bytes(capsys):
     assert out == PROFILE_PQ_GOLDEN
 
 
-@pytest.mark.parametrize("c", ["inf", "1e308"])
+@pytest.mark.parametrize("c", ["200000", "1e308"])
 def test_profile_pq_past_the_digit_budget_exits_3(capsys, c):
     # exp(c*n) has over DEFAULT_DIGIT_BUDGET digits: refused before the walk.
     code, out, err = run(capsys, "profile", "pq", "--form", "2*4^n + 1", "--n", "2..2",
                          "--c", c)
     assert (code, out) == (3, "")
     assert err.startswith("resource cap: ")
+
+
+@pytest.mark.parametrize("n, c, why", [
+    ("2..2", "inf", "finite"),
+    ("0..0", "inf", "finite"),  # c*n is inf*0, a nan
+    ("0..3", "nan", "positive"),
+    ("0..3", "-inf", "positive"),
+    ("0..3", "0", "positive"),
+    ("0..3", "-1.5", "positive"),
+])
+def test_profile_pq_refuses_a_c_not_finite_and_positive(capsys, n, c, why):
+    # Refused before any row, the first n (a skipped square at n = 0) included.
+    for form in ("2*4^n + 1", "4^n"):
+        code, out, err = run(capsys, "profile", "pq", "--form", form, "--n", n, f"--c={c}")
+        assert (code, out, err) == (2, "", f"error: invalid c={float(c)}: must be {why}\n")
 
 
 def test_family_title_json_golden_bytes(capsys):

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surdlab.expansion import _prune
 from surdlab.forms import (
     FormSyntaxError,
     PowerSumForm,
     ZERO,
+    _canonical,
     add,
     classify,
     compose_affine,
@@ -51,6 +54,36 @@ def test_normalize_rejects_nonpositive_bases():
         normalize([(1, 0)])
     with pytest.raises(ValueError, match="invalid base"):
         normalize([(1, -3)])
+    with pytest.raises(ValueError, match=r"^invalid base -1/2: bases must be positive$"):
+        normalize([(F(1), F(-1, 2))])
+
+
+@pytest.mark.parametrize("raw", [[(1.5, 2)], [(1, 2.0)], [(F(1), 0.5)]])
+def test_normalize_rejects_floats(raw):
+    with pytest.raises(TypeError, match="^floats are not exact; pass int, str or Fraction$"):
+        normalize(raw)
+
+
+# Outside terms (and pickles) enter through the checking constructor, which
+# refuses anything not in canonical shape; the builders never reach these.
+@pytest.mark.parametrize("terms, error, message", [
+    ([(F(0), F(2))], ValueError, "zero coefficient in canonical form"),
+    ([(F(1), F(2)), (F(3), F(2))], ValueError, "bases must be strictly decreasing"),
+    ([(F(1), F(2)), (F(3), F(5))], ValueError, "bases must be strictly decreasing"),
+    ([(1, F(2))], TypeError, "terms must be Fraction pairs; use normalize()"),
+    ([(F(1), 2)], TypeError, "terms must be Fraction pairs; use normalize()"),
+    ([(F(1), 2.0)], TypeError, "terms must be Fraction pairs; use normalize()"),
+    ([(F(1), F(0))], ValueError, "invalid base 0: bases must be positive"),
+    ([(F(1), F(-3, 2))], ValueError, "invalid base -3/2: bases must be positive"),
+])
+def test_power_sum_form_refuses_outside_terms(terms, error, message):
+    with pytest.raises(error) as err:
+        PowerSumForm(terms)
+    assert str(err.value) == message
+    # A pickle of such terms is refused the same way when it is loaded.
+    with pytest.raises(error) as err:
+        pickle.loads(pickle.dumps(_canonical(terms)))
+    assert str(err.value) == message
 
 
 def test_mul_difference_of_squares():
@@ -234,6 +267,28 @@ def test_square_matches_squared_value(f, n):
 @given(_forms)
 def test_parse_round_trips_printer(f):
     assert parse_form(format_form(f)) == f
+
+
+_thresholds = st.fractions(min_value=F(1, 8), max_value=9, max_denominator=8)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_coefs, _bases), max_size=6), _forms, _coefs,
+       st.integers(min_value=0, max_value=1), _thresholds, st.booleans())
+def test_builders_return_canonical_forms(raw, g, c, j, threshold, keep_equal):
+    f = normalize(raw)
+    outs = [f, scale(f, c), compose_affine(f, j), _prune(f, threshold, keep_equal),
+            mul(f, g), add(f, g)]
+    if f and dominant(f)[0] > 0:
+        outs.append(relative_tail(f))
+    # The checking constructor accepts each builder's terms as they are, and
+    # each form survives the pickle round trip that family workers take
+    # where processes start by spawn.
+    for out in outs:
+        assert type(out) is PowerSumForm
+        assert PowerSumForm(tuple(out)) == out
+        back = pickle.loads(pickle.dumps(out))
+        assert type(back) is PowerSumForm and back == out
 
 
 @given(_forms, _coefs)
