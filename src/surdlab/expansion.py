@@ -58,6 +58,8 @@ _DEPTH_CAP = 256
 _PRODUCT_CAP = 4096
 # A Mersenne prime, the modulus of growth_exponent's quick rejection.
 _PRIME = (1 << 61) - 1
+# The constant form 1: the series' first power, and a single term's root.
+_ONE = normalize([(1, 1)])
 
 
 def sqrt_rational(x: Fraction) -> Fraction | None:
@@ -123,7 +125,7 @@ def _root_series(
         )
     tail = relative_tail(F)
     acc: dict[Fraction, Fraction] = {Fraction(1): Fraction(1)}
-    power = normalize([(1, 1)])
+    power = _ONE
     coef = Fraction(1)
     products = 0
     for i in range(1, limit + 1):
@@ -137,7 +139,9 @@ def _root_series(
         if power.is_zero:
             break
         for c, u in power:
-            acc[u] = acc.get(u, 0) + coef * c
+            c *= coef
+            prev = acc.get(u)
+            acc[u] = c if prev is None else prev + c
     return _prune(normalize((c, u) for u, c in acc.items()), threshold, keep_equal), limit
 
 
@@ -192,7 +196,8 @@ def sqrt_approximation(f: PowerSumForm, j: int) -> SqrtApprox:
     ratio = dominant_ratio(source)
     series, depth = _root_series(source, 1 / (base * ratio), keep_equal=False)
     scale_base = base**depth
-    f1 = normalize([(c, u * scale_base) for c, u in series])
+    # One positive factor on every base keeps the series canonical.
+    f1 = _canonical([(c, u * scale_base) for c, u in series])
     if dominant(f1)[1] != scale_base:
         raise AssertionError("series form lost its leading term")
     if classify(source).integral_bases and not classify(f1).integral_bases:
@@ -343,7 +348,7 @@ def _extract_root(F: PowerSumForm) -> PowerSumForm | None:
     if root_base is None:
         return None
     if len(F) == 1:
-        series = normalize([(1, 1)])
+        series = _ONE
     else:
         # The root's first tail term has base B2/sqrt(B1) (B1 > B2 the two
         # largest bases of F) and a nonzero coefficient; every other series
@@ -353,7 +358,8 @@ def _extract_root(F: PowerSumForm) -> PowerSumForm | None:
         if first_tail_base >= 1 and first_tail_base.denominator != 1:
             return None
         series, _ = _root_series(F, 1 / root_base, keep_equal=True)
-    root = normalize([(root_lead * c, root_base * u) for c, u in series])
+    # Positive factors on every coefficient and base keep it canonical.
+    root = _canonical([(root_lead * c, root_base * u) for c, u in series])
     if any(b.denominator != 1 for _, b in root):
         return None
     return root

@@ -13,7 +13,8 @@ palindrome.  With P = a0 + m the same step is the P-form
 which finds a where it is used and needs no a0 + m per step.
 
 No other module runs the recurrence, and here only ``cf_stream`` (the
-m-form, as it yields m) and the midpoint walk (the P-form) run it;
+m-form, as it yields m) and ``_midpoint_walk`` (the P-form, one step per
+turn while the half word is kept, two steps per turn after) run it;
 ``pell_value_stream`` reads ``cf_stream`` and adds the convergents.
 ``_midpoint_walk`` walks to the palindrome midpoint of the period, which
 fixes r and the whole word (``cf_sqrt``, ``period_length`` and family
@@ -118,19 +119,18 @@ def _midpoint_walk(D: int, a0: int, keep: int = 0, below: int = 0
     and ``d = d_k``, or with ``half = None`` once the half would hold more
     than keep // 2 quotients, so it walks at most keep // 2 + 1 steps.
 
-    Both loops run the P-form step two steps per turn, the second with
-    d and e (d_prev) in swapped roles, so each step adds to one
-    denominator in place and no state is rotated.  This one keeps the
-    half and applies ``below``.  Without ``below`` it drops the half
-    after step keep // 2 + 1 (step 1 for ``period_length``) and hands
-    the state to ``_walk_to_midpoint``, which tests nothing else.
+    The one function with the P-form step.  While the half is kept it
+    runs one step per turn, bounded by ``range``, and applies ``below``.
+    Past keep // 2 + 1 steps (step 1 for ``period_length``) it drops the
+    half and runs two steps per turn with the midpoint tests alone, the
+    second step with d and e (d_prev) in swapped roles, so each step
+    adds to one denominator in place and no state is rotated.
     """
     c = 2 * a0
     P, d, e, a = a0, 1, D, a0
     half: list[int] = []
-    h_keep = keep // 2
-    for k in count(0, 2):
-        # Step k, then step k + 1; a = a_k = P_k // d_k, so Q = 2*a0 - P % d.
+    for k in range(keep // 2 + 1):
+        # Step k; a = a_k = P_k // d_k, so P_{k+1} = 2*a0 - P % d.
         Q = c - P + a * d
         if Q == P:
             r = 2 * k
@@ -139,59 +139,33 @@ def _midpoint_walk(D: int, a0: int, keep: int = 0, below: int = 0
         if e == d:
             r = 2 * k + 1
             break
-        # r >= 2k + 2 from here on, and (Q, e, d) is the state of step k + 1.
-        if e < below:
-            return None, half, e
-        if k >= h_keep:
-            if below:
-                return None, None, e
-            r, e = _walk_to_midpoint(c, Q, e, d, k + 1)
-            return r, None, e
-        a = Q // e
-        half.append(a)
-        P = c - Q + a * e
-        if P == Q:
-            r, d = 2 * k + 2, e
-            break
-        d += a * (Q - P)
-        if d == e:
-            r = 2 * k + 3
-            break
-        # r >= 2k + 4 from here on, and (P, d, e) is the state of step k + 2.
+        # r >= 2k + 2 from here on; (P, d, e) becomes the state of step k + 1.
+        P, d, e = Q, e, d
         if d < below:
             return None, half, d
-        if k + 1 >= h_keep:
-            if below:
-                return None, None, d
-            r, d = _walk_to_midpoint(c, P, d, e, k + 2)
-            return r, None, d
         a = P // d
         half.append(a)
+    else:
+        if below:
+            return None, None, d
+        k += 1
+        while True:
+            a = P // d
+            Q = c - P % d
+            if Q == P:
+                return 2 * k, None, d
+            e += a * (P - Q)
+            if e == d:
+                return 2 * k + 1, None, d
+            a = Q // e
+            P = c - Q % e
+            if P == Q:
+                return 2 * k + 2, None, e
+            d += a * (Q - P)
+            if d == e:
+                return 2 * k + 3, None, e
+            k += 2
     return r, half if r <= keep else None, d
-
-
-def _walk_to_midpoint(c: int, P: int, d: int, e: int, k: int) -> tuple[int, int]:
-    """``(r, d_h)`` from the state ``P_k, d_k, d_{k-1}`` of step k, c = 2*a0.
-
-    The midpoint tests of ``_midpoint_walk`` and nothing else, in the
-    same two-step turn.
-    """
-    while True:
-        a = P // d
-        Q = c - P % d
-        if Q == P:
-            return 2 * k, d
-        e += a * (P - Q)
-        if e == d:
-            return 2 * k + 1, d
-        a = Q // e
-        P = c - Q % e
-        if P == Q:
-            return 2 * k + 2, e
-        d += a * (Q - P)
-        if d == e:
-            return 2 * k + 3, e
-        k += 2
 
 
 def cf_sqrt(D: int, word_cap: int = DEFAULT_WORD_CAP) -> CFExpansion:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surdlab.expansion import _prune
+from surdlab.expansion import _extract_root, _prune, sqrt_approximation
 from surdlab.forms import (
     FormSyntaxError,
     PowerSumForm,
@@ -30,6 +31,7 @@ from surdlab.forms import (
     relative_tail,
     scale,
 )
+from surdlab.surd import ResourceLimitError
 
 from oracles import per_term_eval
 
@@ -272,15 +274,29 @@ def test_parse_round_trips_printer(f):
 _thresholds = st.fractions(min_value=F(1, 8), max_value=9, max_denominator=8)
 
 
+# Integer-base forms with a positive leading coefficient: what the square
+# root builders take.
+_root_forms = st.lists(
+    st.tuples(_coefs, st.integers(min_value=1, max_value=9)), min_size=1, max_size=4
+).map(normalize).filter(lambda h: h and dominant(h)[0] > 0)
+
+
 @settings(max_examples=200)
 @given(st.lists(st.tuples(_coefs, _bases), max_size=6), _forms, _coefs,
-       st.integers(min_value=0, max_value=1), _thresholds, st.booleans())
-def test_builders_return_canonical_forms(raw, g, c, j, threshold, keep_equal):
+       st.integers(min_value=0, max_value=1), _thresholds, st.booleans(), _root_forms)
+def test_builders_return_canonical_forms(raw, g, c, j, threshold, keep_equal, h):
     f = normalize(raw)
     outs = [f, scale(f, c), compose_affine(f, j), _prune(f, threshold, keep_equal),
             mul(f, g), add(f, g)]
     if f and dominant(f)[0] > 0:
         outs.append(relative_tail(f))
+    # The series form and the extracted root skip normalize too; h*h + g has
+    # a square leading term unless g outgrows h*h.
+    with contextlib.suppress(ResourceLimitError):  # a series past its caps
+        outs.append(sqrt_approximation(h, j).series_form)
+        root = _extract_root(add(mul(h, h), g))
+        if root is not None:
+            outs.append(root)
     # The checking constructor accepts each builder's terms as they are, and
     # each form survives the pickle round trip that family workers take
     # where processes start by spawn.

@@ -493,14 +493,20 @@ def test_fundamental_pell_has_no_period_cap():
 
 
 def _count_to(limit):
-    """A stand-in for ``itertools.count`` that fails past ``limit`` steps.
+    """A stand-in for ``range`` that fails past ``limit`` steps.
 
-    A loop of two steps per turn, ``count(0, 2)``, fails once a turn would
-    start at step ``limit`` or later, so it passes with up to ``limit`` + 1.
+    The walk's kept loop takes one step per turn over ``range``, so it
+    passes with up to ``limit`` steps and fails once a turn would start
+    at step ``limit`` or later.  ``turns`` counts the turns started, so a
+    walk that no longer loops over ``range`` cannot pass unseen.
     """
-    def counted(start=0, step=1):
-        yield from range(start, limit, step)
-        raise AssertionError(f"walk past {limit} steps")
+    def counted(*args):
+        for k in range(*args):
+            if k >= limit:
+                raise AssertionError(f"walk past {limit} steps")
+            counted.turns += 1
+            yield k
+    counted.turns = 0
     return counted
 
 
@@ -511,10 +517,12 @@ def test_fundamental_pell_refusal_walk_is_bounded(monkeypatch):
     long_periods = [2 * 4**n + 1 for n in range(100, 140)]
     long_periods += [2**43 + 1] + [10**k + 3 for k in (21, 25, 31, 41, 61)]
     for budget in range(1, 40):
-        monkeypatch.setattr(surd, "count", _count_to(2 * _digit_budget_bits(budget)))
+        counted = _count_to(2 * _digit_budget_bits(budget))
+        monkeypatch.setattr(surd, "range", counted, raising=False)
         for D in long_periods:
             with pytest.raises(ResourceLimitError, match="more than"):
                 fundamental_pell(D, budget)
+        assert counted.turns > 0
 
 
 @pytest.mark.parametrize("keep", [1, 2, 3, 6, 7, 40])
@@ -525,8 +533,10 @@ def test_below_walk_gives_up_past_the_kept_half(monkeypatch, keep):
     D = 2 * 4**10 + 1
     r = period_length(D)
     d = next(d_k for _, _, d_k, k in cf_stream(D) if k == keep // 2 + 1)
-    monkeypatch.setattr(surd, "count", _count_to(keep // 2 + 1))
+    counted = _count_to(keep // 2 + 1)
+    monkeypatch.setattr(surd, "range", counted, raising=False)
     assert surd._midpoint_walk(D, math.isqrt(D), keep, below=2) == (None, None, d)
+    assert counted.turns == keep // 2 + 1
     monkeypatch.undo()
     # Without below the same walk drops the half and goes on to r.
     assert surd._midpoint_walk(D, math.isqrt(D), keep)[:2] == (r, None)
