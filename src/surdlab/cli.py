@@ -67,10 +67,6 @@ _STRICT = ("--strict", dict(action="store_true",
                             help="exit 3 when any resource cap was hit"))
 
 
-def _word_cap(help_text: str) -> tuple[str, dict]:
-    return "--word-cap", dict(type=_positive_int, default=DEFAULT_WORD_CAP, help=help_text)
-
-
 # Flags every runnable command takes, before its own.
 _COMMON = (
     ("--format", dict(choices=("text", "csv", "json"), default=None,
@@ -323,16 +319,12 @@ def _run_family(args, out: list[str]) -> int:
         raise ValueError("family with --form needs --n a..b")
     else:
         form, n_range = args.form, _parse_n_range(args.n)
-    config = harness.ExperimentConfig(
-        parse_form(form), n_range.start, n_range[-1], args.word_cap, args.jobs
-    )
+    config = harness.ExperimentConfig(parse_form(form), n_range.start, n_range[-1], args.jobs)
     records = harness.run_family(config)
     out.append(harness.emit(records, _format(args, "csv", "json")).decode("utf-8"))
     if args.summary:
         for n, rmin in harness.suffix_min_periods(records):
             print(f"# suffix-min r from n={n}: {rmin}", file=sys.stderr)
-    if args.strict and any(rec.notes == "word-cap" for rec in records):
-        return 3
     return 0
 
 
@@ -358,7 +350,9 @@ _COMMANDS = {
     "cf": ("continued fraction of sqrt(D)", {
         "sqrt": ("a0, period word and r", _run_cf_sqrt, (
             _D,
-            _word_cap("longest period word kept in memory; a longer one is elided"),
+            ("--word-cap", dict(type=_positive_int, default=DEFAULT_WORD_CAP,
+                                help="longest period word kept in memory; a longer one "
+                                "is elided")),
             _STRICT,
         )),
         "period": ("period length and bound ratio", _run_cf_period, (_D,)),
@@ -412,9 +406,6 @@ _COMMANDS = {
                            help="print the suffix minimum of r to stderr")),
         ("--jobs", dict(type=_positive_int, default=1,
                         help="processes that walk rows, this one included")),
-        _word_cap("longest r whose palindrome_ok is reported; longer rows get "
-                  "null and the word-cap note (rows keep no word in memory)"),
-        _STRICT,
     )),
     "identities": ("verify the constant-period identity families", _run_identities, (
         ("--n-max", dict(type=_positive_int, default=10)),

@@ -37,10 +37,9 @@ class PowerSumForm(tuple):
 
     The items are ``(coefficient, base)`` pairs with strictly decreasing
     positive bases and no zero coefficients; the empty tuple is the zero
-    form, and ``terms`` is the same pairs as a plain tuple.  Length,
-    truth, equality, hashing and pickling are the tuple's.  Instances are
-    immutable values: every operation returns a new form, so they are
-    safe to share between threads or processes.
+    form.  Length, truth, equality, hashing and pickling are the tuple's.
+    Instances are immutable values: every operation returns a new form, so
+    they are safe to share between threads or processes.
 
     Build instances with :func:`normalize` (or the arithmetic helpers)
     rather than by hand.  The constructor checks every term it is given;
@@ -63,10 +62,6 @@ class PowerSumForm(tuple):
                 raise ValueError("bases must be strictly decreasing")
             prev = base
         return self
-
-    @property
-    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(self)
 
     @property
     def is_zero(self) -> bool:
@@ -203,14 +198,13 @@ def relative_tail(f: PowerSumForm) -> PowerSumForm:
 # Which ring a form inhabits.  ``integral_coefficients`` means integer
 # coefficients *and* integer bases (the fully integral ring);
 # ``integral_bases`` alone admits rational coefficients.
-FormClass = namedtuple("FormClass", "integral_bases integral_coefficients positive_leading")
+FormClass = namedtuple("FormClass", "integral_bases integral_coefficients")
 
 
 def classify(f: PowerSumForm) -> FormClass:
     int_bases = all(base.denominator == 1 for _, base in f)
     int_coefs = int_bases and all(coef.denominator == 1 for coef, _ in f)
-    positive = bool(f) and f[0][0] > 0
-    return FormClass(int_bases, int_coefs, positive)
+    return FormClass(int_bases, int_coefs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +221,11 @@ _TERM_RE = re.compile(
 _CONST_RE = re.compile(rf"^\(?{_RAT}\)?$")
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip("()"))
+def _parse_rational(part: str, text: str) -> Fraction:
+    try:
+        return Fraction(part.strip("()"))
+    except ZeroDivisionError:
+        raise FormSyntaxError(f"zero denominator in {text!r}") from None
 
 
 def parse_form(text: str) -> PowerSumForm:
@@ -264,10 +261,10 @@ def parse_form(text: str) -> PowerSumForm:
             raise FormSyntaxError(f"dangling sign in {text!r}")
         m = _TERM_RE.match(chunk)
         if m:
-            coef = _parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
-            base = _parse_rational(m.group("base"))
+            coef = _parse_rational(m.group("coef"), text) if m.group("coef") else Fraction(1)
+            base = _parse_rational(m.group("base"), text)
         elif _CONST_RE.match(chunk):
-            coef, base = _parse_rational(chunk), Fraction(1)
+            coef, base = _parse_rational(chunk, text), Fraction(1)
         else:
             raise FormSyntaxError(f"cannot parse term {chunk!r} in {text!r}")
         if base <= 0:

@@ -2,10 +2,10 @@
 
 ``run_family`` expands sqrt(f(n)) over a range of n and collects one
 record per n: the integer f(n), squareness, the period length r, the
-palindrome flag (true up to the word cap, null past it), the sign of
-the fundamental Pell value, and the largest partial quotient of the
-period, which is the closing quotient 2*a0.  A row walks only to the
-palindrome midpoint and keeps no word.
+palindrome flag, the sign of the fundamental Pell value, and the largest
+partial quotient of the period, which is the closing quotient 2*a0.  A
+row walks only to the palindrome midpoint and keeps no word, so its
+palindrome flag is true by construction.
 
 With ``jobs`` > 1 the calling process walks rows itself beside
 ``jobs - 1`` child processes (self-scheduling): every process claims the
@@ -35,12 +35,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from functools import cache, partial
 
-from .surd import (
-    DEFAULT_WORD_CAP,
-    _midpoint_walk,
-    _radicand,
-    cf_sqrt,
-)
+from .surd import _midpoint_walk, _radicand, cf_sqrt
 # PowerSumForm, in annotations only, is forms.PowerSumForm.
 
 PRESETS: dict[str, tuple[str, int, int]] = {
@@ -55,8 +50,8 @@ FAMILY_COLUMNS = ("n", "D", "is_square", "r", "palindrome_ok", "pell_sign",
                   "max_pq_prefix", "notes")
 
 
-class ExperimentConfig(namedtuple("ExperimentConfig", "form n_start n_end word_cap jobs",
-                                  defaults=(DEFAULT_WORD_CAP, 1))):
+class ExperimentConfig(namedtuple("ExperimentConfig", "form n_start n_end jobs",
+                                  defaults=(1,))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ExperimentConfig:
@@ -65,8 +60,8 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "form n_start n_end word_c
             raise ValueError("empty n range")
         from .forms import _check_n
         _check_n(self.n_start)  # before any row runs: rows go largest n first
-        if self.word_cap < 1 or self.jobs < 1:
-            raise ValueError("caps and worker counts must be positive")
+        if self.jobs < 1:
+            raise ValueError("the worker count must be positive")
         return self
 
     @property
@@ -78,25 +73,17 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "form n_start n_end word_c
 FamilyRecord = namedtuple("FamilyRecord", FAMILY_COLUMNS, defaults=("",))
 
 
-def _family_row(form: PowerSumForm, n: int, word_cap: int) -> FamilyRecord:
+def _family_row(form: PowerSumForm, n: int) -> FamilyRecord:
     from .forms import eval_exact
     D, a0, note = _radicand(eval_exact(form, n))
     if note:
         return FamilyRecord(n, D, note == "square", None, None, None, None, note)
 
     r = _midpoint_walk(D, a0)[0]
-    capped = r > word_cap
-    return FamilyRecord(
-        n, D, False, r,
-        # The walk's stop rule is the palindrome midpoint, so the word is a
-        # palindrome by construction; past the cap it is not reported.
-        None if capped else True,
-        -1 if r % 2 else 1,
-        # The closing quotient 2*a0 is the largest of the period: for
-        # 0 < k < r, d_k >= 2 and m_k <= a0 give a_k <= a0.
-        2 * a0,
-        "word-cap" if capped else "",
-    )
+    # The walk's stop rule is the palindrome midpoint, so the word is a
+    # palindrome by construction.  The closing quotient 2*a0 is the largest
+    # of the period: for 0 < k < r, d_k >= 2 and m_k <= a0 give a_k <= a0.
+    return FamilyRecord(n, D, False, r, True, -1 if r % 2 else 1, 2 * a0)
 
 
 def run_family(config: ExperimentConfig) -> list[FamilyRecord]:
@@ -107,7 +94,7 @@ def run_family(config: ExperimentConfig) -> list[FamilyRecord]:
     terminated on the way out.
     """
     # Largest n first: a family's last rows are its longest walks.
-    tasks = [(config.form, n, config.word_cap) for n in reversed(config.n_range)]
+    tasks = [(config.form, n) for n in reversed(config.n_range)]
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         done = _walk_with_children(tasks, workers - 1)

@@ -420,14 +420,6 @@ def test_family_parallel_output_is_byte_identical(tmp_path, capsys):
     assert seq.read_bytes() == par.read_bytes()
 
 
-def test_family_strict_word_cap(capsys):
-    code, _, _ = run(
-        capsys, "family", "--form", "2*4^n + 1", "--n", "3..3",
-        "--word-cap", "4", "--strict",
-    )
-    assert code == 3
-
-
 def test_family_needs_target(capsys):
     code, _, err = run(capsys, "family", "--n", "1..2")
     assert code == 2
@@ -594,9 +586,9 @@ def test_count_flags_reject_non_positive_values(capsys, flag, value):
 
 
 # Each flag is offered only by the subcommands that read it: --jobs by
-# family, --word-cap by cf sqrt and family, --strict by cf sqrt, the
-# minimal-Y pell scan --form and family (pell scan --D and --form ... --all
-# refuse it with exit 2).  Everywhere else argparse rejects it.
+# family, --word-cap by cf sqrt, --strict by cf sqrt and the minimal-Y pell
+# scan --form (pell scan --D and --form ... --all refuse it with exit 2).
+# Everywhere else argparse rejects it.
 @pytest.mark.parametrize("argv, flag", [
     (["identities", "--n-max", "3"], "--jobs 7"),
     (["identities", "--n-max", "3"], "--word-cap 1"),
@@ -612,6 +604,8 @@ def test_count_flags_reject_non_positive_values(capsys, flag, value):
     (["growth", "denom", "--form", "3^n + 1", "--b", "2", "--n", "1..5"], "--strict"),
     (["profile", "pq", "--form", "2*4^n + 1", "--n", "2..3", "--c", "8"], "--jobs 2"),
     (["hypothesis", "check", "--form", "4^n + 1"], "--word-cap 1"),
+    (["family", "--preset", "title", "--n", "1..2"], "--word-cap 1"),
+    (["family", "--preset", "title", "--n", "1..2"], "--strict"),
 ])
 def test_flags_only_where_read(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -776,10 +770,6 @@ GOLDEN_MATRIX = [
     ("family --form '(1/2)*4^n + 1' --n 0..2 --format text", 0, "5020820a27ec1eef", "e3b0c44298fc1c14"),
     ("family --form '(1/2)*4^n + 1' --n 0..2 --format csv", 0, "5020820a27ec1eef", "e3b0c44298fc1c14"),
     ("family --form '(1/2)*4^n + 1' --n 0..2 --format json", 0, "975eed354c7820c7", "e3b0c44298fc1c14"),
-    ('family --preset title --n 3..4 --word-cap 4', 0, "b988fcdc828a7ed2", "e3b0c44298fc1c14"),
-    ('family --preset title --n 3..4 --word-cap 4 --format text', 0, "b988fcdc828a7ed2", "e3b0c44298fc1c14"),
-    ('family --preset title --n 3..4 --word-cap 4 --format csv', 0, "b988fcdc828a7ed2", "e3b0c44298fc1c14"),
-    ('family --preset title --n 3..4 --word-cap 4 --format json', 0, "05d5c7ee6a16f4b7", "e3b0c44298fc1c14"),
     ('identities --n-max 2', 0, "767ce1a2f3540b66", "e3b0c44298fc1c14"),
     ('identities --n-max 2 --format text', 0, "767ce1a2f3540b66", "e3b0c44298fc1c14"),
     ('identities --n-max 2 --format csv', 0, "767ce1a2f3540b66", "e3b0c44298fc1c14"),
@@ -789,8 +779,8 @@ GOLDEN_MATRIX = [
     ('cf pell 47 --digit-budget 1', 3, "e3b0c44298fc1c14", "4e787eaf5496d59f"),
     ('pell scan --C 2', 2, "e3b0c44298fc1c14", "15d11588835a29bd"),
     ("pell scan --form '2*4^n + 1' --C 2 --n 1..8 --digit-budget 40 --strict", 3, "08cc2e6651bf2c9a", "d9a4e3c292694d4f"),
-    ('family --preset title --n 3..4 --word-cap 4 --strict', 3, "b988fcdc828a7ed2", "e3b0c44298fc1c14"),
     ("family --form 'totally^wrong' --n 1..2", 2, "e3b0c44298fc1c14", "54cf005d5d0bc5b3"),
+    ("hypothesis check --form '(1/0)^n'", 2, "e3b0c44298fc1c14", "99510ce77e626b33"),
     ("hypothesis check --form '10000^n + 9900^n'", 3, "e3b0c44298fc1c14", "b5654e01ced94d07"),
     # C = 1 is a cap at once, with the bytes a step-by-step walk to the
     # digit budget prints (~8 s); C < 1 is bad input, as for `pell scan --D`.
@@ -875,8 +865,8 @@ ARGPARSE_GOLDEN = [
     ('hypothesis check --help', 0, "0f4282508ab8d35b", "e3b0c44298fc1c14"),
     ('expand sqrt -h', 0, "2daf36e4eb037d80", "e3b0c44298fc1c14"),
     ('expand sqrt --help', 0, "2daf36e4eb037d80", "e3b0c44298fc1c14"),
-    ('family -h', 0, "804e5980c77fe0a8", "e3b0c44298fc1c14"),
-    ('family --help', 0, "804e5980c77fe0a8", "e3b0c44298fc1c14"),
+    ('family -h', 0, "25de802a3d6dfbc2", "e3b0c44298fc1c14"),
+    ('family --help', 0, "25de802a3d6dfbc2", "e3b0c44298fc1c14"),
     ('identities -h', 0, "c59e561d8bf806f6", "e3b0c44298fc1c14"),
     ('identities --help', 0, "c59e561d8bf806f6", "e3b0c44298fc1c14"),
     ('', 2, "e3b0c44298fc1c14", "bd67faa8c590c03a"),
@@ -893,6 +883,9 @@ ARGPARSE_GOLDEN = [
     ('cf -- sqrt 5', 2, "e3b0c44298fc1c14", "f7cf50be1e1f05de"),
     ('--format csv cf sqrt 5', 2, "e3b0c44298fc1c14", "b2471ab1b639fa55"),
     ('cf sqrt 129 --word 3', 0, "ddb1684ebce5ea4f", "e3b0c44298fc1c14"),
+    # family reads no word cap: its rows keep no word.
+    ('family --preset title --n 3..4 --word-cap 4', 2, "e3b0c44298fc1c14", "6a5fbffb865a35c3"),
+    ('family --preset title --n 3..4 --word-cap 4 --strict', 2, "e3b0c44298fc1c14", "4d2c3291324c7278"),
 ]
 
 
@@ -1247,7 +1240,7 @@ def test_unknown_package_names_raise_and_submodules_still_import():
     assert proc.stdout == b"surdlab.surd surdlab.expansion\n", proc.stderr
 
 
-MIXED_FAMILY = ["family", "--form", "(1/2)*4^n + 2^n - 8", "--n", "0..14", "--word-cap", "20"]
+MIXED_FAMILY = ["family", "--form", "(1/2)*4^n + 2^n - 8", "--n", "0..14"]
 
 
 @pytest.mark.parametrize("jobs", ["2", "3"])
@@ -1273,10 +1266,10 @@ def test_family_bytes_under_spawn_match_one_job(capsys, jobs):
 def test_family_row_failure_is_the_same_for_any_jobs(capsys, monkeypatch):
     real = harness._family_row
 
-    def row(form, n, word_cap):
+    def row(form, n):
         if n == 9:
             raise ValueError("row 9 failed")
-        return real(form, n, word_cap)
+        return real(form, n)
 
     monkeypatch.setattr(harness, "_family_row", row)
     results = {jobs: run(capsys, *MIXED_FAMILY, "--jobs", jobs) for jobs in ("1", "2", "3")}
@@ -1286,8 +1279,9 @@ def test_family_row_failure_is_the_same_for_any_jobs(capsys, monkeypatch):
 
 
 def _fuzz_form(rng, bases):
-    """``(text, weight, top)``: one to three ``coef*base^n`` terms and maybe a
-    constant, where |f(n)| <= weight * top**n for n >= 0."""
+    """``(text, weight, top)``: one to three ``coef*base^n`` terms, maybe a
+    constant and rarely a term with a zero denominator, where
+    |f(n)| <= weight * top**n for n >= 0 when the text parses."""
     parts, weight, top = [], 0, 1
     for _ in range(rng.randrange(1, 4)):
         num, den = rng.choice([(1, 1), (2, 1), (3, 1), (1, 2), (3, 4), (5, 2)])
@@ -1298,6 +1292,8 @@ def _fuzz_form(rng, bases):
     if rng.random() < 0.6:
         parts.append(f"{rng.choice('+-')} {rng.choice(['1', '2', '5', '(1/4)'])}")
         weight += 5
+    if rng.random() < 0.1:  # a zero denominator, refused before any value
+        parts.append(f"+ {rng.choice(['1/0', '(1/0)^n', '(2/0)*3^n', '(0/0)^n'])}")
     return " ".join(parts).removeprefix("+ "), weight, top
 
 
@@ -1348,8 +1344,7 @@ def _fuzz_family_argv(rng):
     else:
         preset, hi = rng.choice([("title", 19), ("even-exponent", 19), ("v2w2", 7)])
         argv = ["--preset", preset, "--n", _fuzz_n(rng, hi)]
-    return argv + ["--word-cap", str(rng.randrange(1, 50)),
-                   *_fuzz_flag(rng, "--summary"), *_fuzz_flag(rng, "--strict")]
+    return argv + _fuzz_flag(rng, "--summary")
 
 
 # Runnable command -> a draw of the argv after it.  expand sqrt, hypothesis

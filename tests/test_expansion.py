@@ -470,7 +470,7 @@ def test_decide_hypothesis_consistency(raw):
     for w in report.witnesses:
         composed = compose_affine(f, w.parity)
         assert add(mul(w.root, w.root), w.remainder) == composed
-        assert all(b.denominator == 1 for _, b in w.root.terms)
+        assert all(b.denominator == 1 for _, b in w.root)
         if not w.remainder.is_zero:
             assert dominant(w.remainder)[1] ** 2 < dominant(composed)[1]
     if report.verdict == HOLDS_TRIVIALLY:
@@ -487,14 +487,14 @@ def _long_division_root(F):
     full series' one, since a single kept non-integer base already rules
     the candidate out.
     """
-    c1, B1 = F.terms[0]
+    c1, B1 = F[0]
     a, r = sqrt_rational(c1), sqrt_rational(B1)
     if a is None or r is None:
         return None
     root = normalize([(a, r)])
     rem = add(F, scale(mul(root, root), -1))
-    while not rem.is_zero and rem.terms[0][1] >= r:
-        c, B = rem.terms[0]
+    while not rem.is_zero and rem[0][1] >= r:
+        c, B = rem[0]
         if (B / r).denominator != 1:
             return None
         term = normalize([(c / (2 * a), B / r)])

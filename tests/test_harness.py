@@ -63,28 +63,14 @@ def test_v2w2_family_period_two():
         assert rec.max_pq_prefix == 2 * 6**rec.n
 
 
-def test_family_flags_word_cap():
-    records = run_family(_config(TITLE, 3, 3, word_cap=4))
-    rec = records[0]
-    assert rec.notes == "word-cap"
-    assert rec.r == 10  # still exact
-    assert rec.palindrome_ok is None
-    assert rec.pell_sign == 1
-    assert rec.max_pq_prefix == 22
-    assert rec == FamilyRecord(3, 129, False, 10, None, 1, 22, "word-cap")
-
-
-def test_family_rows_match_full_walk_at_word_cap_boundary():
+def test_family_rows_match_full_walk():
     # Rows keep no word: r, the sign and 2*a0 come from the midpoint walk,
-    # and palindrome_ok is true exactly up to the word cap.
-    for n in range(2, 13):
-        word = plain_period_word(2 * 4**n + 1)
-        r = len(word)
-        for cap in (r - 1, r):
-            (rec,) = run_family(_config(TITLE, n, n, word_cap=cap))
-            kept = cap >= r
-            assert rec == FamilyRecord(n, 2 * 4**n + 1, False, r, True if kept else None,
-                                       (-1) ** r, word[-1], "" if kept else "word-cap")
+    # and palindrome_ok is true by the walk's stop rule.
+    records = run_family(_config(TITLE, 2, 12))
+    for n, rec in zip(range(2, 13), records, strict=True):
+        D = 2 * 4**n + 1
+        word = plain_period_word(D)
+        assert rec == FamilyRecord(n, D, False, len(word), True, (-1) ** len(word), word[-1])
 
 
 def test_family_non_integer_values():
@@ -280,17 +266,16 @@ def test_run_family_clamps_pool_to_task_count(monkeypatch):
     assert len(started) == 1
 
 
-# Square, non-integer, non-positive, plain and word-cap rows over n = 0..14.
+# Square, non-integer, non-positive and plain rows over n = 0..14.
 MIXED = parse_form("(1/2)*4^n + 2^n - 8")
 
 
 def test_run_family_is_identical_for_one_two_and_three_jobs():
-    records = run_family(_config(MIXED, 0, 14, word_cap=20))
-    assert {rec.notes for rec in records} == {"non-integer", "non-positive", "square",
-                                               "", "word-cap"}
+    records = run_family(_config(MIXED, 0, 14))
+    assert {rec.notes for rec in records} == {"non-integer", "non-positive", "square", ""}
     assert [rec.n for rec in records] == list(range(15))
     for jobs in (2, 3):
-        assert run_family(_config(MIXED, 0, 14, word_cap=20, jobs=jobs)) == records
+        assert run_family(_config(MIXED, 0, 14, jobs=jobs)) == records
 
 
 def test_config_rejects_negative_n_before_any_row():
@@ -328,7 +313,7 @@ def _deadline(seconds):
 
 @needs_fork
 def test_failing_row_here_terminates_a_child_mid_row(monkeypatch):
-    def row(form, n, word_cap):
+    def row(form, n):
         # The child claims the other row while this one waits, then sleeps.
         time.sleep(2 if _in_child() else 0.2)
         raise ValueError(f"row {n} failed")
@@ -345,11 +330,11 @@ def test_failing_row_here_terminates_a_child_mid_row(monkeypatch):
 def test_failing_row_in_a_child_reaches_the_caller(monkeypatch):
     real = harness._family_row
 
-    def row(form, n, word_cap):
+    def row(form, n):
         if _in_child():
             raise ArithmeticError(f"row {n} failed in a child")
         time.sleep(0.2)
-        return real(form, n, word_cap)
+        return real(form, n)
 
     monkeypatch.setattr(harness, "_family_row", row)
     start = time.perf_counter()
@@ -364,11 +349,11 @@ def test_failing_row_in_a_child_reaches_the_caller(monkeypatch):
 def test_child_dying_without_rows_is_an_error(monkeypatch):
     real = harness._family_row
 
-    def row(form, n, word_cap):
+    def row(form, n):
         if _in_child():
             os._exit(7)
         time.sleep(0.1)
-        return real(form, n, word_cap)
+        return real(form, n)
 
     monkeypatch.setattr(harness, "_family_row", row)
     with _deadline(10), pytest.raises(RuntimeError,
