@@ -781,6 +781,7 @@ GOLDEN_MATRIX = [
     ("pell scan --form '2*4^n + 1' --C 2 --n 1..8 --digit-budget 40 --strict", 3, "08cc2e6651bf2c9a", "d9a4e3c292694d4f"),
     ("family --form 'totally^wrong' --n 1..2", 2, "e3b0c44298fc1c14", "54cf005d5d0bc5b3"),
     ("hypothesis check --form '(1/0)^n'", 2, "e3b0c44298fc1c14", "99510ce77e626b33"),
+    ("family --form '(2/0)*3^n' --n 1..2", 2, "e3b0c44298fc1c14", "eb93237a66b044c2"),
     ("hypothesis check --form '10000^n + 9900^n'", 3, "e3b0c44298fc1c14", "b5654e01ced94d07"),
     # C = 1 is a cap at once, with the bytes a step-by-step walk to the
     # digit budget prints (~8 s); C < 1 is bad input, as for `pell scan --D`.
@@ -885,6 +886,9 @@ ARGPARSE_GOLDEN = [
     ('cf sqrt 129 --word 3', 0, "ddb1684ebce5ea4f", "e3b0c44298fc1c14"),
     # family reads no word cap: its rows keep no word.
     ('family --preset title --n 3..4 --word-cap 4', 2, "e3b0c44298fc1c14", "6a5fbffb865a35c3"),
+    ('family --preset title --n 3..4 --word-cap 4 --format text', 2, "e3b0c44298fc1c14", "6a5fbffb865a35c3"),
+    ('family --preset title --n 3..4 --word-cap 4 --format csv', 2, "e3b0c44298fc1c14", "6a5fbffb865a35c3"),
+    ('family --preset title --n 3..4 --word-cap 4 --format json', 2, "e3b0c44298fc1c14", "6a5fbffb865a35c3"),
     ('family --preset title --n 3..4 --word-cap 4 --strict', 2, "e3b0c44298fc1c14", "4d2c3291324c7278"),
 ]
 

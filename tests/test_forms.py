@@ -207,7 +207,7 @@ def test_parse_form(text, terms):
     assert parse_form(text) == terms
 
 
-@pytest.mark.parametrize("bad", ["", "4^n +", "2**4^n", "x^n", "4^m"])
+@pytest.mark.parametrize("bad", ["", "4^n +", "2**4^n", "x^n", "4^m", "(2/0)^n"])
 def test_parse_form_rejects_garbage(bad):
     with pytest.raises(FormSyntaxError):
         parse_form(bad)
