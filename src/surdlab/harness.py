@@ -7,14 +7,13 @@ partial quotient of the period, which is the closing quotient 2*a0.  A
 row walks only to the palindrome midpoint and keeps no word, so its
 palindrome flag is true by construction.
 
-With ``jobs`` > 1 the calling process walks rows itself beside
-``jobs - 1`` child processes (self-scheduling): every process claims the
-next unclaimed row from one shared counter, largest n first, since a
-family's last rows are its longest walks, and each child sends its rows
-once, when the rows run out.  No thread and no executor is started, and
-``multiprocessing`` is imported only when a child will run.  Every value
-is exact, so the records are byte-identical across runs, worker counts
-and start methods.
+With ``jobs`` > 1 the calling process walks rows beside ``jobs - 1``
+children started by ``os.fork`` (self-scheduling): each process claims the
+next row, largest n first, by taking the one 8-byte counter token from a
+pipe and putting back its successor; each child pickles its rows down its
+own pipe once and leaves by ``os._exit``.  Without ``os.fork``, this
+process walks every row.  Every value is exact, so the records are
+byte-identical across runs, worker counts and platforms.
 
 ``run_identity_checks`` runs one loop over one table of constant-period
 families, ``_identity_families``: h**2 + 1 and (v*w)**2 + 2*w.
@@ -22,9 +21,9 @@ families, ``_identity_families``: h**2 + 1 and (v*w)**2 + 2*w.
 ``emit_table`` turns columns and rows of raw values into CSV, JSON or
 ``label: value`` text; every CLI subcommand prints through it, and
 ``emit`` is its entry point for family records.  Its text and CSV cells
-print ints with ``int_str``, which ``forms`` shares.  ``forms``, ``json``
-and ``decimal`` are imported where they are used, so a command that only
-emits small numbers, such as ``cf sqrt``, loads none of them.
+print ints with ``int_str``, which ``forms`` shares.  ``forms``, ``json``,
+``decimal`` and ``pickle`` are imported where they are used, so a command
+that only emits small numbers, such as ``cf sqrt``, loads none of them.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import itertools
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from functools import cache, partial
+from functools import cache
 
 from .surd import _midpoint_walk, _radicand, cf_sqrt
 # PowerSumForm, in annotations only, is forms.PowerSumForm.
@@ -90,16 +89,15 @@ def run_family(config: ExperimentConfig) -> list[FamilyRecord]:
     """One record per n, ascending; deterministic for any worker count.
 
     An exception raised by a row, in this process or in a child, reaches
-    the caller with its type and message; children still walking are
-    terminated on the way out.
+    the caller with its type and message, and kills every child on the way
+    out.  Every child is waited for before this returns or raises.
     """
+    import os
     # Largest n first: a family's last rows are its longest walks.
     tasks = [(config.form, n) for n in reversed(config.n_range)]
-    workers = min(config.jobs, len(tasks))
-    if workers > 1:
-        done = _walk_with_children(tasks, workers - 1)
-    else:
-        done = _walk(tasks, itertools.count().__next__)
+    workers = min(config.jobs, len(tasks)) if hasattr(os, "fork") else 1
+    done = (_walk_with_children(tasks, workers - 1) if workers > 1
+            else _walk(tasks, itertools.count().__next__))
     done.sort(key=lambda rec: rec.n)
     return done
 
@@ -112,62 +110,64 @@ def _walk(tasks: list, claim: Callable[[], int]) -> list[FamilyRecord]:
     return done
 
 
-def _claim(counter) -> int:
-    with counter.get_lock():
-        i = counter.value
-        counter.value = i + 1
-    return i
-
-
-def _child_walk(tasks: list, counter, conn) -> None:
-    """Child process body: send the walked rows, or the failure, once."""
-    try:
-        result = _walk(tasks, partial(_claim, counter))
-    except Exception as exc:
-        with counter.get_lock():
-            counter.value = len(tasks)  # no process claims another row
-        result = exc
-    conn.send(result)
-    conn.close()
-
-
 def _walk_with_children(tasks: list, children: int) -> list[FamilyRecord]:
-    """Walk rows here and in ``children`` processes; merge what they send."""
-    import multiprocessing
+    """Walk rows here and in ``children`` forked processes; merge what they send."""
+    import os
+    import pickle
 
-    counter = multiprocessing.Value("q", 0)
-    procs, conns = [], []
-    try:
-        for _ in range(children):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            conns.append(recv)
-            proc = multiprocessing.Process(target=_child_walk, args=(tasks, counter, send),
-                                           daemon=True)
-            proc.start()
-            procs.append(proc)
-            # Only the child holds the write end, so its death reads as EOF.
-            send.close()
-        done = _walk(tasks, partial(_claim, counter))
-        for proc, recv in zip(procs, conns):
+    fds = list(os.pipe())  # the claim pipe: it holds one 8-byte token, the next row
+    kids = []  # (pid, read end of its row pipe) of each child not yet waited for
+
+    def claim(after: int | None = None) -> int:
+        i = int.from_bytes(os.read(fds[0], 8), "little")
+        os.write(fds[1], (i + 1 if after is None else after).to_bytes(8, "little"))
+        return i
+
+    def child(send: int) -> None:  # walk, send the rows or the failure once, exit
+        code = 1
+        try:
             try:
-                result = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"family worker exited with code {proc.exitcode} "
-                                   "before sending its rows") from None
-            if isinstance(result, BaseException):
+                result = _walk(tasks, claim)
+            except Exception as exc:
+                claim(len(tasks))  # no process claims another row
+                result = exc
+            with open(send, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            code = 0
+        finally:
+            os._exit(code)  # no atexit handler, no flush of an inherited stdio buffer
+
+    try:
+        os.write(fds[1], bytes(8))
+        for _ in range(children):
+            fds += os.pipe()
+            if (pid := os.fork()) == 0:
+                child(fds[-1])
+            os.close(fds.pop())  # only the child holds the write end: its death reads as EOF
+            kids.append((pid, fds[-1]))
+        done = _walk(tasks, claim)
+        for pid, recv in kids:
+            with open(recv, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                kids.remove((pid, recv))
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"family worker exited with code {code} "
+                                   "before sending its rows")
+            if isinstance(result := pickle.loads(data), BaseException):
                 raise result
             done += result
         return done
     except BaseException:
-        for proc in procs:
-            proc.terminate()
+        import signal
+        for pid, _ in kids:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for proc in procs:
-            proc.join()
-        for recv in conns:
-            recv.close()
+        for pid, _ in kids:
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def suffix_min_periods(records: list[FamilyRecord]) -> list[tuple[int, int]]:

@@ -9,7 +9,6 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import random
 import re
@@ -26,6 +25,8 @@ import surdlab.cli as cli
 import surdlab.harness as harness
 import surdlab.surd as surd
 from surdlab.cli import main
+
+from oracles import plain_period_word
 
 
 def run(capsys, *argv):
@@ -1179,8 +1180,8 @@ def _python(*args, **kwargs):
                           timeout=60, **kwargs)
 
 
-@pytest.mark.parametrize("module", ["multiprocessing", "surdlab.intervals", "dataclasses",
-                                    "typing", "inspect", "argparse", "re"])
+@pytest.mark.parametrize("module", ["multiprocessing", "ctypes", "surdlab.intervals",
+                                    "dataclasses", "typing", "inspect", "argparse", "re"])
 def test_cli_import_leaves_multiprocessing_out(module):
     # -S: without site, whose .pth files may import typing themselves.
     proc = _python("-S", "-c", f"import sys, surdlab.cli; print({module!r} in sys.modules)")
@@ -1194,8 +1195,8 @@ _LOADED_BY = (
     "from surdlab.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "print((sorted(m for m in sys.modules if m.partition('.')[0] == 'surdlab'),\n"
-    "       [m for m in ('fractions', 'decimal', 'json', 'multiprocessing', 'argparse', 're')\n"
-    "        if m in sys.modules]),\n"
+    "       [m for m in ('fractions', 'decimal', 'json', 'multiprocessing', 'ctypes',\n"
+    "                    'argparse', 're') if m in sys.modules]),\n"
     "      file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
@@ -1212,6 +1213,15 @@ def test_cf_commands_load_only_surd_and_the_emitter(argv):
     # json only where json is printed, and re with it (json's decoder
     # imports it); argparse never.
     assert stdlib == (["json", "re"] if "json" in argv else [])
+
+
+def test_family_with_children_loads_no_pool_module(capsys):
+    argv = ["family", "--preset", "title", "--n", "1..4"]
+    code, out, _ = run(capsys, *argv)
+    proc = _python("-S", "-c", _LOADED_BY, *argv, "--jobs", "2")
+    assert (proc.returncode, proc.stdout.decode()) == (code, out), proc.stderr
+    _, stdlib = ast.literal_eval(proc.stderr.decode())
+    assert "multiprocessing" not in stdlib and "ctypes" not in stdlib
 
 
 def test_import_surdlab_loads_no_submodule():
@@ -1247,26 +1257,30 @@ def test_unknown_package_names_raise_and_submodules_still_import():
 MIXED_FAMILY = ["family", "--form", "(1/2)*4^n + 2^n - 8", "--n", "0..14"]
 
 
+# Leaves text unflushed in a block-buffered stdout (fd 1, whatever
+# PYTHONUNBUFFERED says) while family rows are walked; a child that flushed
+# it would print it twice.
+_UNFLUSHED = (
+    "import sys\n"
+    "from surdlab.cli import main\n"
+    "sys.stdout = open(1, 'w', closefd=False)\n"
+    "sys.stdout.write('# before the rows\\n')\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
 @pytest.mark.parametrize("jobs", ["2", "3"])
-def test_family_bytes_under_spawn_match_one_job(capsys, jobs):
-    # spawn is the default start method on macOS and Windows: children
-    # start from a fresh import and get their rows by pickle.
-    script = (
-        "import multiprocessing, sys\n"
-        "from surdlab.cli import main\n"
-        "if __name__ == '__main__':\n"
-        "    multiprocessing.set_start_method('spawn')\n"
-        "    sys.exit(main(sys.argv[1:]))\n"
-    )
+def test_family_bytes_in_a_fresh_process_match_one_job(capsys, jobs):
     for fmt in ("csv", "json"):
         argv = MIXED_FAMILY + ["--format", fmt]
         code, out, err = run(capsys, *argv, "--jobs", "1")
-        proc = _python("-c", script, *argv, "--jobs", jobs)
-        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+        proc = _python("-c", _UNFLUSHED, *argv, "--jobs", jobs)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+            code, "# before the rows\n" + out, err)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched row reaches child processes only under fork")
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="the patched row reaches child processes only by fork")
 def test_family_row_failure_is_the_same_for_any_jobs(capsys, monkeypatch):
     real = harness._family_row
 
@@ -1279,7 +1293,8 @@ def test_family_row_failure_is_the_same_for_any_jobs(capsys, monkeypatch):
     results = {jobs: run(capsys, *MIXED_FAMILY, "--jobs", jobs) for jobs in ("1", "2", "3")}
     assert results["1"] == (2, "", "error: row 9 failed\n")
     assert results["2"] == results["3"] == results["1"]
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # every child was waited for
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _fuzz_form(rng, bases):
@@ -1389,3 +1404,32 @@ def test_fuzzed_argv_never_gives_a_traceback(tmp_path, capsys):
                 assert code in (0, 1, 2, 3), argv
                 codes.add(code)
     assert {0, 2, 3} <= codes
+
+
+def test_fuzzed_family_rows_match_the_oracle_for_any_jobs(capsys):
+    # Seeded family draws: every row's r is the period length of the plain
+    # recurrence, CSV bytes are the same for --jobs 1, 2 and 3, and each CSV
+    # cell is the JSON value under the cell rule (CSV quotes a note).
+    rng = random.Random(31)
+    periods = 0
+    for _ in range(40):
+        argv = ["family", *_fuzz_family(rng), "--format"]
+        code, out, err = run_exit(capsys, argv + ["csv"])
+        for jobs in ("2", "3"):
+            assert run_exit(capsys, argv + ["csv", "--jobs", jobs]) == (code, out, err), argv
+        json_code, json_out, json_err = run_exit(capsys, argv + ["json"])
+        assert (json_code, json_err) == (code, err), argv
+        if code:
+            continue
+        header, *lines = out.splitlines()
+        assert header == ",".join(harness.FAMILY_COLUMNS)
+        for line, row in zip(lines, json.loads(json_out), strict=True):
+            assert tuple(row) == harness.FAMILY_COLUMNS
+            cells = [harness._cell(value) for value in row.values()]
+            if row["notes"]:
+                cells[-1] = f'"{row["notes"]}"'
+            assert line == ",".join(cells), argv
+            if row["r"] is not None:
+                assert row["r"] == len(plain_period_word(row["D"])), argv
+                periods += 1
+    assert periods >= 30

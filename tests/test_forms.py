@@ -305,8 +305,7 @@ def test_builders_return_canonical_forms(raw, g, c, j, threshold, keep_equal, h)
         if root is not None:
             outs.append(root)
     # The checking constructor accepts each builder's terms as they are, and
-    # each form survives the pickle round trip that family workers take
-    # where processes start by spawn.
+    # each form survives a pickle round trip as a PowerSumForm.
     for out in outs:
         assert type(out) is PowerSumForm
         assert PowerSumForm(tuple(out)) == out

@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import decimal
 import json
-import multiprocessing
 import os
 import random
 import signal
@@ -248,22 +247,42 @@ def test_identity_checks_report_counterexamples(monkeypatch):
     )
 
 
-def test_run_family_clamps_pool_to_task_count(monkeypatch):
-    started = []
+# Rows walk in children only where os.fork exists; a patched row reaches
+# them because a forked child inherits the patch.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="family rows walk in children only where os.fork exists")
 
-    class CountingProcess(multiprocessing.Process):
-        def start(self):
-            started.append(self)
-            super().start()
+_PARENT = os.getpid()
+
+
+def _in_child() -> bool:
+    return os.getpid() != _PARENT
+
+
+def _no_child_left():
+    """Every child of this process has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_run_family_clamps_pool_to_task_count(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
 
     expected = emit(run_family(_config(TITLE, 5, 6)), "csv")
-    monkeypatch.setattr(multiprocessing, "Process", CountingProcess)
+    monkeypatch.setattr(os, "fork", counting_fork)
     # One row: no process at all, however many jobs are asked for.
     assert run_family(_config(TITLE, 5, 5, jobs=64)) == run_family(_config(TITLE, 5, 5))
-    assert started == []
+    assert forks == []
     # Two rows: this process walks one share, exactly one child the other.
     assert emit(run_family(_config(TITLE, 5, 6, jobs=64)), "csv") == expected
-    assert len(started) == 1
+    assert len(forks) == 1
+    _no_child_left()
 
 
 # Square, non-integer, non-positive and plain rows over n = 0..14.
@@ -278,21 +297,26 @@ def test_run_family_is_identical_for_one_two_and_three_jobs():
         assert run_family(_config(MIXED, 0, 14, jobs=jobs)) == records
 
 
+def test_run_family_without_fork_walks_every_row_here(monkeypatch):
+    expected = run_family(_config(MIXED, 0, 14))
+    real = harness._family_row
+    pids = set()
+
+    def row(form, n):
+        pids.add(os.getpid())
+        return real(form, n)
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(harness, "_family_row", row)
+    assert run_family(_config(MIXED, 0, 14, jobs=3)) == expected
+    assert pids == {os.getpid()}
+    _no_child_left()
+
+
 def test_config_rejects_negative_n_before_any_row():
     with pytest.raises(ValueError, match="evaluation at negative n is not defined"):
         ExperimentConfig(TITLE, -1, 40, jobs=2)
     assert ExperimentConfig(TITLE, 0, 0).n_range == range(0, 1)
-
-
-# A failing row reaches a child only through fork, which inherits the patch.
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="patched rows reach child processes only under fork",
-)
-
-
-def _in_child() -> bool:
-    return multiprocessing.parent_process() is not None
 
 
 @contextlib.contextmanager
@@ -323,7 +347,7 @@ def test_failing_row_here_terminates_a_child_mid_row(monkeypatch):
     with _deadline(10), pytest.raises(ValueError, match=r"row \d failed"):
         run_family(_config(TITLE, 1, 2, jobs=2))
     assert time.perf_counter() - start < 1
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 @needs_fork
@@ -342,7 +366,7 @@ def test_failing_row_in_a_child_reaches_the_caller(monkeypatch):
         run_family(_config(TITLE, 1, 12, jobs=3))
     # The failing child stops every process from claiming another row.
     assert time.perf_counter() - start < 1
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 @needs_fork
@@ -359,4 +383,61 @@ def test_child_dying_without_rows_is_an_error(monkeypatch):
     with _deadline(10), pytest.raises(RuntimeError,
                                       match="exited with code 7 before sending its rows"):
         run_family(_config(TITLE, 1, 12, jobs=2))
-    assert multiprocessing.active_children() == []
+    _no_child_left()
+
+
+@needs_fork
+def test_interrupt_here_kills_and_reaps_a_child_mid_row(monkeypatch):
+    def row(form, n):
+        time.sleep(2 if _in_child() else 0.2)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "_family_row", row)
+    start = time.perf_counter()
+    with _deadline(10), pytest.raises(KeyboardInterrupt):
+        run_family(_config(TITLE, 1, 2, jobs=2))
+    assert time.perf_counter() - start < 1
+    _no_child_left()
+
+
+_ROW = harness._family_row
+
+
+# Each failing row is slow where it does not fail, so that the failing side
+# claims a row before the other takes them all.
+def _fail_here(form, n):
+    if not _in_child():
+        raise ValueError("row failed here")
+    time.sleep(0.2)
+    return _ROW(form, n)
+
+
+def _fail_in_child(form, n):
+    if _in_child():
+        raise ValueError("row failed in a child")
+    time.sleep(0.1)
+    return _ROW(form, n)
+
+
+def _die_in_child(form, n):
+    if _in_child():
+        os._exit(7)
+    time.sleep(0.1)
+    return _ROW(form, n)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@needs_fork
+@pytest.mark.parametrize("row, error", [(None, None), (_fail_here, ValueError),
+                                        (_fail_in_child, ValueError),
+                                        (_die_in_child, RuntimeError)])
+def test_run_family_leaves_no_fd_open(monkeypatch, row, error):
+    if row is not None:
+        monkeypatch.setattr(harness, "_family_row", row)
+    before = len(os.listdir("/proc/self/fd"))
+    with _deadline(10), contextlib.ExitStack() as stack:
+        if error is not None:
+            stack.enter_context(pytest.raises(error))
+        run_family(_config(TITLE, 1, 6, jobs=3))
+    assert len(os.listdir("/proc/self/fd")) == before
+    _no_child_left()
