@@ -9,9 +9,12 @@ the ratio of the two largest bases), producing an approximation
 ``sqrt(a1) * f1(n) / b1**((k - 1/2)*n)`` with ``f1`` an exact form with
 integer bases.  The irrational scale is never materialized: everything
 is certified through its square or through interval arithmetic.
-``error_table`` certifies the error row by row with integer square roots:
-each bound is an exact ratio of integers over one shared denominator per
-row (fixed-point interval endpoints), never a reduced Fraction.
+``error_table`` certifies the error row by row with one integer square
+root per row, the source's: the leading root ``sqrt(lead*B**n)`` is read
+off one fixed-point constant ``sqrt(a*lq)`` (``lead = a/lq``) taken once
+per table.  Each bound is an exact ratio of integers over one shared
+denominator per row (fixed-point interval endpoints), never a reduced
+Fraction.
 
 ``decide_hypothesis`` asks whether some parity ``j`` admits an exact
 decomposition ``f(2n+j) = h(n)**2 + g(n)`` with ``h`` a form with
@@ -56,6 +59,9 @@ _DEPTH_CAP = 256
 # ResourceLimitError: with a tail of t terms the powers keep up to
 # ~depth**(t - 1) terms, all of them big fractions when the ratio is near 1.
 _PRODUCT_CAP = 4096
+# Bits past a row's precision in error_table's fixed-point leading root: a
+# row falls back to its own integer square root with odds ~2**-_GUARD_BITS.
+_GUARD_BITS = 64
 # A Mersenne prime, the modulus of growth_exponent's quick rejection.
 _PRIME = (1 << 61) - 1
 # The constant form 1: the series' first power, and a single term's root.
@@ -124,7 +130,8 @@ def _root_series(
             f"root series depth {limit} exceeds cap {_DEPTH_CAP} (base ratio too close to 1)"
         )
     tail = relative_tail(F)
-    acc: dict[Fraction, Fraction] = {Fraction(1): Fraction(1)}
+    # Keyed by (numerator, denominator): a Fraction's hash takes a modular inverse.
+    acc: dict[tuple[int, int], tuple[Fraction, Fraction]] = {(1, 1): (Fraction(1), Fraction(1))}
     power = _ONE
     coef = Fraction(1)
     products = 0
@@ -140,9 +147,10 @@ def _root_series(
             break
         for c, u in power:
             c *= coef
-            prev = acc.get(u)
-            acc[u] = c if prev is None else prev + c
-    return _prune(normalize((c, u) for u, c in acc.items()), threshold, keep_equal), limit
+            key = u.numerator, u.denominator
+            prev = acc.get(key)
+            acc[key] = (c, u) if prev is None else (prev[0] + c, u)
+    return _prune(normalize(acc.values()), threshold, keep_equal), limit
 
 
 class SqrtApprox(namedtuple("SqrtApprox",
@@ -220,6 +228,29 @@ def _integer_terms(f: PowerSumForm) -> tuple[int, list[int], list[int]]:
             [b.numerator for _, b in f])
 
 
+def _check_signs(L: int, source: list[int], bases: list[int], n_range: range) -> None:
+    """Raise ``ValueError`` at the first n of ``n_range`` with ``source(n) < 0``.
+
+    ``L``, ``source`` and ``bases`` are ``_integer_terms``' of a source with
+    two or more terms, led by a positive one.  Rows are checked only until
+    ``C[0]*b[0]**n > neg*b[1]**n``, ``neg`` the negative coefficients'
+    summed size: the leading term outweighs every negative one there, and
+    at every later n, as ``b[0] > b[1]``.
+    """
+    neg = -sum(c for c in source if c < 0)
+    powers = None
+    for n in n_range:
+        if powers is None:
+            powers = [b**n for b in bases]
+        else:
+            powers = [w * b for w, b in zip(powers, bases)]
+        if source[0] * powers[0] > neg * powers[1]:
+            return
+        N = sum(map(operator.mul, source, powers))
+        if N < 0:
+            raise ValueError(f"source({n}) = {Fraction(N, L)} is negative")
+
+
 def error_table(
     approx: SqrtApprox, n_range: range, bits: int | None = None
 ) -> list[tuple[int, Bounds, Bounds | None]]:
@@ -232,14 +263,24 @@ def error_table(
     the first row and wherever ``lo`` is 0.  No ratio is brought to lowest
     terms: each is meant for one correctly rounded ``num / den``.  A range
     whose step is not 1, or that reaches a negative n, raises ValueError
-    before any row, single-term forms too.
+    before any row, single-term forms too, and so does a source negative
+    at some n: every row's sign is checked before any square root, up to
+    the first n where the leading term outweighs every negative one.
 
     The bounds are Moore interval arithmetic on integer endpoints.  Both
     square roots are bracketed the same way: ``sqrt(p/q)`` lies in
     ``[s, s + 1]/(q << bits)`` with ``s = isqrt(p*q << 2*bits)`` for the
-    reduced ``p/q``, here
-    ``source(n) = N/L`` (reduced against the small ``L``) and
-    ``lead*B**n = a*B**n/lq`` (reduced against ``lq``).  The series factor
+    reduced ``p/q``, here ``source(n) = N/L`` (reduced against the small
+    ``L``) and ``lead*B**n = a*B**n/lq`` (reduced against ``lq``).  The
+    latter's ``s`` is ``rb**n*sqrt(a*lq) << bits`` over ``h = gcd(B**n, lq)``,
+    floored (``rb**2 = B``): ``t = isqrt(a*lq << 2*P)``, taken once per
+    table with ``P`` past every row's ``bits`` by ``n*bitlen(rb) +
+    _GUARD_BITS``, puts it in ``[rb**n*t, rb**n*(t + 1))/(h << P - bits)``.
+    Floors of floors compose, so where both ends floor alike that floor
+    is ``s``; otherwise (odds ~2**-_GUARD_BITS) the row takes its own
+    ``isqrt``.  An exact ``t`` never gets there: then the bracket's low
+    end is ``s`` plus a multiple of ``1/h``, and its width is below
+    ``1/h``.  The series factor
     ``f1(n)/B**(k*n)`` is ``S/(M*B**(k*n))`` with ``S`` an integer, so every
     endpoint is an integer over ``den = q*lq*M*B**(k*n) << bits`` and no
     row takes a big gcd.  ``bits`` forces the precision of every row; by
@@ -248,17 +289,31 @@ def error_table(
     """
     if n_range.step != 1:
         raise ValueError(f"error rows need consecutive n, not step {n_range.step}")
-    if n_range:
-        _check_n(n_range[0])
+    if not n_range:
+        return []
+    _check_n(n_range[0])
     if approx.is_single_term:
         return [(n, ((0, 1), (0, 1)), None) for n in n_range]
     L, source, source_bases = _integer_terms(approx.source)
+    # Every sign before t, whose isqrt grows with the range's last n.
+    _check_signs(L, source, source_bases, n_range)
     M, series, series_bases = _integer_terms(approx.series_form)
-    bases, cut = source_bases + series_bases, len(source)
     a, lq = approx.lead_coefficient.numerator, approx.lead_coefficient.denominator
     # Each log apart, so that bases past the float range stay finite.
     base = approx.error_base
     log_rate = math.log2(base.numerator) - math.log2(base.denominator)
+
+    def precision(n: int) -> int:
+        return bits if bits is not None else max(96, int(n * log_rate) + 96)
+
+    # error_base = rb*B/B2, with B = rb**2 and B2 the two largest source bases.
+    rb = base.numerator * source_bases[1] // (base.denominator * source_bases[0])
+    if rb * rb != source_bases[0]:
+        raise AssertionError("error_base must be sqrt(B)*B/B2")
+    bases, cut = source_bases + series_bases + [rb], len(source)
+    n_hi = n_range[-1]
+    P = precision(n_hi) + n_hi * rb.bit_length() + _GUARD_BITS
+    t = math.isqrt(a * lq << 2 * P)
     rows: list[tuple[int, Bounds, Bounds | None]] = []
     prev = None
     for n in n_range:
@@ -266,15 +321,16 @@ def error_table(
             powers = [b**n for b in bases]
         else:
             powers = [w * b for w, b in zip(powers, bases)]
-        shift = bits if bits is not None else max(96, int(n * log_rate) + 96)
+        shift = precision(n)
         N = sum(map(operator.mul, source, powers))
-        if N < 0:
-            raise ValueError(f"source({n}) = {Fraction(N, L)} is negative")
         g = math.gcd(N % L, L)
         q = L // g
         root = math.isqrt((N // g) * q << 2 * shift)
         h = math.gcd(powers[0] % lq, lq)  # powers[0] = B**n
-        lead_root = math.isqrt((a * powers[0] // h) * (lq // h) << 2 * shift)
+        z, k = powers[-1] * t, P - shift  # powers[-1] = rb**n
+        lead_root = (z >> k) // h
+        if lead_root != ((z + powers[-1] - 1) >> k) // h:
+            lead_root = math.isqrt((a * powers[0] // h) * (lq // h) << 2 * shift)
         S = sum(map(operator.mul, series, powers[cut:]))
         # sqrt(source(n)) lies in [root, root + 1] * x/den and the
         # approximation in [lead_root, lead_root + 1] * y/den.

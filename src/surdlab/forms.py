@@ -18,6 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 
 from .harness import int_str
 
@@ -81,20 +82,23 @@ def normalize(raw_terms: Iterable[tuple]) -> PowerSumForm:
 
     Duplicate bases are merged, zero coefficients dropped, and terms
     sorted by base descending.  Evaluation at every ``n`` is unchanged.
-    Raises ``ValueError`` for non-positive bases.
+    Raises ``ValueError`` for non-positive bases.  Terms merge on the
+    base's ``(numerator, denominator)``, never on the ``Fraction``, whose
+    hash takes a modular inverse.
 
     >>> str(normalize([(1, 3), (2, 9)]))
     '2*9^n + 3^n'
     """
-    merged: dict[Fraction, Fraction] = {}
+    merged: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     for coef, base in raw_terms:
         coef, base = _frac(coef), _frac(base)
         if base.numerator <= 0:  # a Fraction's denominator is positive
             raise ValueError(f"invalid base {base}: bases must be positive")
-        prev = merged.get(base)
-        merged[base] = coef if prev is None else prev + coef
-    return _canonical([(coef, base) for base in sorted(merged, reverse=True)
-                       if (coef := merged[base])])
+        key = base.numerator, base.denominator
+        prev = merged.get(key)
+        merged[key] = (coef, base) if prev is None else (prev[0] + coef, base)
+    return _canonical(sorted([term for term in merged.values() if term[0]],
+                             key=itemgetter(1), reverse=True))
 
 
 def constant(c) -> PowerSumForm:

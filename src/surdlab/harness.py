@@ -291,7 +291,9 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.6f}"
-    return int_str(value) if isinstance(value, int) else str(value)
+    if isinstance(value, int) and value.bit_length() > _STR_BITS:
+        return int_str(value)
+    return str(value)
 
 
 def emit_table(

@@ -7,7 +7,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
 
-from surdlab.forms import add, dominant, eval_exact, mul, normalize, scale
+from surdlab.forms import PowerSumForm, add, dominant, eval_exact, mul, normalize, scale
 from surdlab.intervals import Interval, sqrt_interval
 from surdlab.surd import PellSolution
 
@@ -88,6 +88,20 @@ def plain_midpoint_walk(D: int, keep: int, below: int, period=None
     if below and h > h_keep:
         return None, None, dens[h_keep + 1]
     return r, word[:h] if r <= keep else None, dens[h]
+
+
+def fraction_keyed_normalize(raw_terms) -> PowerSumForm:
+    """The canonical form of raw terms, merged on ``Fraction`` bases.
+
+    The plain reading of ``forms.normalize``: every spelling of a number
+    becomes one ``Fraction``, equal ones merge, zero sums drop out, and the
+    checking constructor sees the bases in descending order.
+    """
+    merged: dict[Fraction, Fraction] = {}
+    for coef, base in raw_terms:
+        merged[Fraction(base)] = merged.get(Fraction(base), 0) + Fraction(coef)
+    return PowerSumForm((merged[base], base) for base in sorted(merged, reverse=True)
+                        if merged[base])
 
 
 def per_term_eval(f, n: int) -> Fraction:

@@ -213,18 +213,86 @@ def _assert_table_matches_oracle(approx, n_range, bits=None):
     return rows
 
 
+# The leading root's shapes: h = gcd(B**n, lq) > 1 ((2/3)*9^n, h = 3 from
+# n = 1), a square a*lq with h > 1 (a*lq = 4: the constant sqrt(a*lq) is
+# exact), and a root base just under a power of two (sqrt(49) = 7).
+_LEAD_ROOT_CASES = [("(2/3)*9^n + 2^n", 0), ("(1/4)*16^n + 3^n", 0), ("3*49^n + 5^n", 0)]
+
+
 @pytest.mark.parametrize("text, j", [
     ("2*4^n + 1", 0), ("2*4^n + 1", 1), ("4^n - 2^n", 0), ("8^n + 2^n", 0),
     ("(7/2)*9^n - (5/3)*4^n + 2", 1), ("3*7^n - 5*5^n + 2*3^n", 1), ("5^n", 0),
+    *_LEAD_ROOT_CASES,
 ])
 def test_error_table_equals_fraction_oracle(text, j):
     approx = sqrt_approximation(parse_form(text), j)
-    for bits in (None, 1, 2, 4, 8):
+    for bits in (None, 1, 2, 4, 8, 16, 64, 200, 400):
         _assert_table_matches_oracle(approx, range(0, 31), bits)
+    for n in (0, 1, 17):
+        _assert_table_matches_oracle(approx, range(n, n + 1), 400)
     # The decay is per step: any other step is refused before any row.
     for n_range in (range(1, 31, 3), range(30, -1, -3)):
         with pytest.raises(ValueError, match="consecutive n"):
             error_table(approx, n_range)
+
+
+class _CountingMath:
+    """``math`` with its ``isqrt`` calls counted, to stand in for a module's."""
+
+    def __init__(self):
+        self.isqrt_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def isqrt(self, x):
+        self.isqrt_calls += 1
+        return math.isqrt(x)
+
+
+def _isqrt_calls(monkeypatch, approx, n_range, bits=None):
+    """``(rows, calls)``: ``error_table``'s rows and its ``math.isqrt`` calls."""
+    counting = _CountingMath()
+    with monkeypatch.context() as m:
+        m.setattr(expansion, "math", counting)
+        rows = error_table(approx, n_range, bits)
+    return rows, counting.isqrt_calls
+
+
+def test_error_table_takes_one_isqrt_per_row(monkeypatch):
+    # One per row (the source's root) and one per multi-term table (the
+    # leading root's constant); a single-term table takes none.
+    texts = ["2*4^n + 1", "(7/2)*9^n - (5/3)*4^n + 2", "3*7^n - 5*5^n + 2*3^n"]
+    texts += [text for text, _ in _LEAD_ROOT_CASES]
+    cases = [(text, j, n_range) for text, j in itertools.product(texts, (0, 1))
+             for n_range in (range(0, 31), range(5, 6), range(40, 60))]
+    cases.append((f"{10**400}^n + 2^n", 0, range(1, 4)))
+    for text, j, n_range in cases:
+        approx = sqrt_approximation(parse_form(text), j)
+        for bits in (None, 1, 64, 400):
+            rows, calls = _isqrt_calls(monkeypatch, approx, n_range, bits)
+            assert len(rows) == len(n_range)
+            assert calls == len(rows) + 1, (text, j, n_range, bits)
+    single = sqrt_approximation(parse_form("5^n"), 0)
+    assert _isqrt_calls(monkeypatch, single, range(0, 31)) == (
+        error_table(single, range(0, 31)), 0)
+    assert _isqrt_calls(monkeypatch, approx, range(3, 3)) == ([], 0)
+
+
+def test_error_table_falls_back_to_a_row_isqrt_without_guard_bits(monkeypatch):
+    # With no guard bits the fixed-point bracket of the leading root is up to
+    # one unit wide, so some rows' ends floor apart: those rows take their
+    # own isqrt, and every row still equals the oracle's.
+    monkeypatch.setattr(expansion, "_GUARD_BITS", 0)
+    fallbacks = 0
+    for text, j in _LEAD_ROOT_CASES + [("2*225^n + 7^n", 0)]:
+        approx = sqrt_approximation(parse_form(text), j)
+        for bits in (None, 1, 8, 64):
+            for n_range in [range(0, 31)] + [range(n, n + 1) for n in range(31)]:
+                rows, calls = _isqrt_calls(monkeypatch, approx, n_range, bits)
+                fallbacks += calls - len(rows) - 1
+                assert _assert_table_matches_oracle(approx, n_range, bits) == rows
+    assert fallbacks > 20
 
 
 def test_error_table_default_bits_past_the_float_range():
@@ -266,6 +334,16 @@ def test_error_table_negative_inputs_fail_as_the_oracle_does():
     with pytest.raises(ValueError, match=r"^source\(0\) = -2 is negative$"):
         error_table(approx, range(0, 6))
     _assert_table_matches_oracle(approx, range(0, 6))
+    # Every row's sign comes before the leading root's constant, whose size
+    # grows with the last n: a wide range still fails at once, at its first
+    # row or a later one.
+    later = sqrt_approximation(parse_form("4^n - 3*3^n + 3"), 0)
+    _assert_table_matches_oracle(later, range(0, 6))
+    for wide, first in ((approx, 0), (later, 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^source\({first}\) = -2 is negative$"):
+            error_table(wide, range(0, 10**6))
+        assert time.perf_counter() - start < 1
     with pytest.raises(ValueError, match="negative n is not defined"):
         error_table(sqrt_approximation(TITLE, 0), range(-1, 3))
     _assert_table_matches_oracle(sqrt_approximation(TITLE, 0), range(-1, 3))

@@ -33,7 +33,7 @@ from surdlab.forms import (
 )
 from surdlab.surd import ResourceLimitError
 
-from oracles import per_term_eval
+from oracles import fraction_keyed_normalize, per_term_eval
 
 F = Fraction
 
@@ -58,6 +58,41 @@ def test_normalize_rejects_nonpositive_bases():
         normalize([(1, -3)])
     with pytest.raises(ValueError, match=r"^invalid base -1/2: bases must be positive$"):
         normalize([(F(1), F(-1, 2))])
+
+
+# A few numbers, each drawn in any of its spellings: the Fraction, an
+# unreduced "p/q" string and, for integers, the int.
+_NUMBERS = [F(1), F(2), F(12), F(-3), F(1, 2), F(3, 4), F(9, 4), F(-5, 6), F(10**30 + 1, 7)]
+
+
+@st.composite
+def _spelling(draw, x):
+    k = draw(st.integers(1, 3))
+    spellings = [x, f"{x.numerator * k}/{x.denominator * k}"]
+    if x.denominator == 1:
+        spellings.append(x.numerator)
+    return draw(st.sampled_from(spellings))
+
+
+@st.composite
+def _spelled_raw_terms(draw):
+    """Raw terms over positive bases, some cancelling others to zero."""
+    numbers = st.sampled_from(_NUMBERS)
+    raw = []
+    for coef, base in draw(st.lists(st.tuples(numbers, numbers.filter(lambda x: x > 0)),
+                                    max_size=8)):
+        raw.append((draw(_spelling(coef)), draw(_spelling(base))))
+        if draw(st.booleans()):
+            raw.append((draw(_spelling(-coef)), draw(_spelling(base))))
+    return draw(st.permutations(raw))
+
+
+@settings(max_examples=300)
+@given(_spelled_raw_terms())
+def test_normalize_equals_the_fraction_keyed_merge(raw):
+    got = normalize(raw)
+    assert got == fraction_keyed_normalize(raw)
+    assert all(type(c) is F and type(b) is F for c, b in got)
 
 
 @pytest.mark.parametrize("raw", [[(1.5, 2)], [(1, 2.0)], [(F(1), 0.5)]])
