@@ -9,12 +9,13 @@ the ratio of the two largest bases), producing an approximation
 ``sqrt(a1) * f1(n) / b1**((k - 1/2)*n)`` with ``f1`` an exact form with
 integer bases.  The irrational scale is never materialized: everything
 is certified through its square or through interval arithmetic.
-``error_table`` certifies the error row by row with one integer square
-root per row, the source's: the leading root ``sqrt(lead*B**n)`` is read
-off one fixed-point constant ``sqrt(a*lq)`` (``lead = a/lq``) taken once
-per table.  Each bound is an exact ratio of integers over one shared
-denominator per row (fixed-point interval endpoints), never a reduced
-Fraction.
+``error_table`` certifies the error in one pass over the rows, each row's
+sign checked where its value is summed, with one integer square root per
+row, the source's: the leading root ``sqrt(lead*B**n)`` is read off a
+fixed-point constant ``sqrt(a*lq)`` (``lead = a/lq``), taken again at up to
+twice the bits when a row needs more, never for a row not yet reached.
+Each bound is an exact ratio of integers over one shared denominator per
+row (fixed-point interval endpoints), never a reduced Fraction.
 
 ``decide_hypothesis`` asks whether some parity ``j`` admits an exact
 decomposition ``f(2n+j) = h(n)**2 + g(n)`` with ``h`` a form with
@@ -228,29 +229,6 @@ def _integer_terms(f: PowerSumForm) -> tuple[int, list[int], list[int]]:
             [b.numerator for _, b in f])
 
 
-def _check_signs(L: int, source: list[int], bases: list[int], n_range: range) -> None:
-    """Raise ``ValueError`` at the first n of ``n_range`` with ``source(n) < 0``.
-
-    ``L``, ``source`` and ``bases`` are ``_integer_terms``' of a source with
-    two or more terms, led by a positive one.  Rows are checked only until
-    ``C[0]*b[0]**n > neg*b[1]**n``, ``neg`` the negative coefficients'
-    summed size: the leading term outweighs every negative one there, and
-    at every later n, as ``b[0] > b[1]``.
-    """
-    neg = -sum(c for c in source if c < 0)
-    powers = None
-    for n in n_range:
-        if powers is None:
-            powers = [b**n for b in bases]
-        else:
-            powers = [w * b for w, b in zip(powers, bases)]
-        if source[0] * powers[0] > neg * powers[1]:
-            return
-        N = sum(map(operator.mul, source, powers))
-        if N < 0:
-            raise ValueError(f"source({n}) = {Fraction(N, L)} is negative")
-
-
 def error_table(
     approx: SqrtApprox, n_range: range, bits: int | None = None
 ) -> list[tuple[int, Bounds, Bounds | None]]:
@@ -263,9 +241,8 @@ def error_table(
     the first row and wherever ``lo`` is 0.  No ratio is brought to lowest
     terms: each is meant for one correctly rounded ``num / den``.  A range
     whose step is not 1, or that reaches a negative n, raises ValueError
-    before any row, single-term forms too, and so does a source negative
-    at some n: every row's sign is checked before any square root, up to
-    the first n where the leading term outweighs every negative one.
+    before any row, single-term forms too; a source negative at some n
+    raises it at the first such row, as soon as its value is summed.
 
     The bounds are Moore interval arithmetic on integer endpoints.  Both
     square roots are bracketed the same way: ``sqrt(p/q)`` lies in
@@ -273,9 +250,12 @@ def error_table(
     reduced ``p/q``, here ``source(n) = N/L`` (reduced against the small
     ``L``) and ``lead*B**n = a*B**n/lq`` (reduced against ``lq``).  The
     latter's ``s`` is ``rb**n*sqrt(a*lq) << bits`` over ``h = gcd(B**n, lq)``,
-    floored (``rb**2 = B``): ``t = isqrt(a*lq << 2*P)``, taken once per
-    table with ``P`` past every row's ``bits`` by ``n*bitlen(rb) +
-    _GUARD_BITS``, puts it in ``[rb**n*t, rb**n*(t + 1))/(h << P - bits)``.
+    floored (``rb**2 = B``): ``t = isqrt(a*lq << 2*P)``, with ``P`` at least
+    ``need(n) = bits + n*bitlen(rb) + _GUARD_BITS``, puts it in
+    ``[rb**n*t, rb**n*(t + 1))/(h << P - bits)``.  The first row, and any
+    row with ``P < need(n)``, takes ``t`` again with ``P =
+    min(need(n_hi), 2*need(n))``: one constant when the last row needs at
+    most twice the first row's bits, O(log) growing ones otherwise.
     Floors of floors compose, so where both ends floor alike that floor
     is ``s``; otherwise (odds ~2**-_GUARD_BITS) the row takes its own
     ``isqrt``.  An exact ``t`` never gets there: then the bracket's low
@@ -295,8 +275,6 @@ def error_table(
     if approx.is_single_term:
         return [(n, ((0, 1), (0, 1)), None) for n in n_range]
     L, source, source_bases = _integer_terms(approx.source)
-    # Every sign before t, whose isqrt grows with the range's last n.
-    _check_signs(L, source, source_bases, n_range)
     M, series, series_bases = _integer_terms(approx.series_form)
     a, lq = approx.lead_coefficient.numerator, approx.lead_coefficient.denominator
     # Each log apart, so that bases past the float range stay finite.
@@ -306,14 +284,11 @@ def error_table(
     def precision(n: int) -> int:
         return bits if bits is not None else max(96, int(n * log_rate) + 96)
 
-    # error_base = rb*B/B2, with B = rb**2 and B2 the two largest source bases.
-    rb = base.numerator * source_bases[1] // (base.denominator * source_bases[0])
-    if rb * rb != source_bases[0]:
-        raise AssertionError("error_base must be sqrt(B)*B/B2")
+    rb = math.isqrt(source_bases[0])  # B = rb**2, a square by construction
     bases, cut = source_bases + series_bases + [rb], len(source)
-    n_hi = n_range[-1]
-    P = precision(n_hi) + n_hi * rb.bit_length() + _GUARD_BITS
-    t = math.isqrt(a * lq << 2 * P)
+    # top is the last row's need; P = -1 has no constant yet.
+    rbits, n_hi = rb.bit_length(), n_range[-1]
+    top, P = precision(n_hi) + n_hi * rbits + _GUARD_BITS, -1
     rows: list[tuple[int, Bounds, Bounds | None]] = []
     prev = None
     for n in n_range:
@@ -323,9 +298,15 @@ def error_table(
             powers = [w * b for w, b in zip(powers, bases)]
         shift = precision(n)
         N = sum(map(operator.mul, source, powers))
+        if N < 0:
+            raise ValueError(f"source({n}) = {Fraction(N, L)} is negative")
         g = math.gcd(N % L, L)
         q = L // g
         root = math.isqrt((N // g) * q << 2 * shift)
+        need = shift + n * rbits + _GUARD_BITS
+        if P < need:
+            P = min(top, 2 * need)
+            t = math.isqrt(a * lq << 2 * P)
         h = math.gcd(powers[0] % lq, lq)  # powers[0] = B**n
         z, k = powers[-1] * t, P - shift  # powers[-1] = rb**n
         lead_root = (z >> k) // h

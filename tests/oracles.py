@@ -175,8 +175,9 @@ def interval_error(approx, n: int, bits: int | None = None) -> Interval:
     value = eval_exact(approx.source, n)  # refuses negative n
     if approx.is_single_term:
         return Interval(Fraction(0), Fraction(0))
-    if bits is None:
-        bits = max(96, int(n * math.log2(float(approx.error_base))) + 96)
+    if bits is None:  # each log apart, so that bases past the float range stay finite
+        base = approx.error_base
+        bits = max(96, int(n * (math.log2(base.numerator) - math.log2(base.denominator))) + 96)
     if value < 0:
         raise ValueError(f"source({n}) = {value} is negative")
     return abs(sqrt_interval(value, bits) - interval_approx_value(approx, n, bits))

@@ -25,8 +25,10 @@ import surdlab.cli as cli
 import surdlab.harness as harness
 import surdlab.surd as surd
 from surdlab.cli import main
+from surdlab.expansion import sqrt_approximation
+from surdlab.forms import parse_form
 
-from oracles import plain_period_word
+from oracles import interval_error_table, plain_period_word
 
 
 def run(capsys, *argv):
@@ -805,6 +807,8 @@ GOLDEN_MATRIX = [
     ("expand sqrt --form '5^n' --j 0 --n-range 1..3", 0, "8813263e222f4ad5", "3c726ff94138523c"),
     ("expand sqrt --form '5^n' --j 0 --n-range 1..3 --format json", 0, "74a93dc07d1e8a1f", "3c726ff94138523c"),
     ("expand sqrt --form '4^n - 3*3^n' --j 0 --n-range 0..5", 2, "e3b0c44298fc1c14", "c54cce97a4404a25"),
+    # A negative row past the first refuses at once over a huge range.
+    ("expand sqrt --form '4^n - 3*3^n + 3' --j 0 --n-range 0..10000000000", 2, "e3b0c44298fc1c14", "6d93413780af0146"),
     ("expand sqrt --form '2*4^n + 1' --j 0 --n-range=-1..2", 2, "e3b0c44298fc1c14", "329a6a6093a4ddb1"),
     # Negative n exits 2 under the min-Y scan too, as under every family command.
     ("pell scan --form '2*4^n + 1' --C 2 --n=-2..2", 2, "e3b0c44298fc1c14", "14d0a30a11973e3e"),
@@ -1433,3 +1437,81 @@ def test_fuzzed_family_rows_match_the_oracle_for_any_jobs(capsys):
                 assert row["r"] == len(plain_period_word(row["D"])), argv
                 periods += 1
     assert periods >= 30
+
+
+# Table commands print CSV for --format text; report commands print text
+# for --format csv.
+TEXT_IS_CSV = {"pell scan", "growth denom", "profile pq", "expand sqrt", "family"}
+CSV_IS_TEXT = {"hypothesis check", "identities"}
+
+
+def _csv_line(command, columns, row):
+    """The CSV line of one JSON row: the ``_cell`` rule, or the command's own."""
+    cells = []
+    for column in columns:
+        value = row.get(column)
+        if command == "expand sqrt" and column != "n":
+            value = None if value is None else format(
+                value, ".6e" if column.startswith("error") else ".4f")
+        elif command == "cf sqrt" and column == "period":
+            value = f'"{" ".join(map(str, value or ()))}"'
+        elif command == "family" and column == "notes" and value:
+            value = f'"{value}"'
+        elif command == "profile pq" and column.endswith("_eff_exponent"):
+            pick = min if column.startswith("min") else max
+            value = pick(row["effective_exponents"], default=None)
+        cells.append(harness._cell(value))
+    return ",".join(cells)
+
+
+def _nearest(x):
+    """The float nearest the Fraction ``x``, inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _assert_expand_rows_match_the_oracle(argv, rows):
+    """Each JSON row is the Fraction-interval oracle's row, rounded to floats."""
+    args = cli._parse_args(argv)
+    approx = sqrt_approximation(parse_form(args.form), args.j)
+    want = interval_error_table(approx, cli._parse_n_range(args.n_range))
+    for row, (n, err, decay) in zip(rows, want, strict=True):
+        ends = [err.lo, err.hi] + ([None, None] if decay is None else [decay.lo, decay.hi])
+        assert list(row.values()) == [n, *(x if x is None else _nearest(x) for x in ends)], (
+            argv, n)
+
+
+def test_text_csv_and_json_agree_on_golden_and_fuzzed_argv(capsys):
+    # The golden argv without --format and seeded FUZZ draws, each run in
+    # all three formats: one exit code and one stderr; each CSV line is its
+    # JSON row under the cell rule; every expand sqrt row is the oracle's.
+    rng = random.Random(34)
+    argvs = [shlex.split(case[0]) for case in GOLDEN_MATRIX if "--format" not in case[0]]
+    argvs += [[*command.split(), *FUZZ[command](rng)] for _ in range(30) for command in RUNNABLE]
+    tables, expand_rows = [], 0
+    for argv in argvs:
+        command, _ = _runnable(argv)
+        code, text, err = run_exit(capsys, argv + ["--format", "text"])
+        csv_code, csv, csv_err = run_exit(capsys, argv + ["--format", "csv"])
+        json_code, out, json_err = run_exit(capsys, argv + ["--format", "json"])
+        assert (csv_code, csv_err) == (json_code, json_err) == (code, err), argv
+        if command in TEXT_IS_CSV | CSV_IS_TEXT:
+            assert csv == text, argv
+        if code != 0 or command in CSV_IS_TEXT:
+            continue
+        payload = json.loads(out)
+        if isinstance(payload, dict):
+            payload = next((payload[key] for key in ("rows", "records", "solutions")
+                            if key in payload), [payload])
+        header, *lines = csv.splitlines()
+        columns = header.split(",")
+        for line, row in zip(lines, payload, strict=True):
+            assert line == _csv_line(command, columns, row), argv
+        tables.append(command)
+        if command == "expand sqrt":
+            _assert_expand_rows_match_the_oracle(argv, payload)
+            expand_rows += len(payload)
+    assert len(tables) > 100 and set(tables) == set(RUNNABLE) - CSV_IS_TEXT
+    assert expand_rows > 400

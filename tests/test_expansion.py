@@ -236,17 +236,28 @@ def test_error_table_equals_fraction_oracle(text, j):
             error_table(approx, n_range)
 
 
-class _CountingMath:
-    """``math`` with its ``isqrt`` calls counted, to stand in for a module's."""
+class _Stop(Exception):
+    """Raised by ``_CountingMath`` to cut a table short."""
 
-    def __init__(self):
-        self.isqrt_calls = 0
+
+class _CountingMath:
+    """``math`` with its ``isqrt`` calls counted, to stand in for a module's.
+
+    ``bits`` holds each argument's bit length; past ``most_bits`` bits or
+    at ``most_calls`` calls, ``isqrt`` raises ``_Stop`` instead.
+    """
+
+    def __init__(self, most_bits=math.inf, most_calls=math.inf):
+        self.bits = []
+        self.most_bits, self.most_calls = most_bits, most_calls
 
     def __getattr__(self, name):
         return getattr(math, name)
 
     def isqrt(self, x):
-        self.isqrt_calls += 1
+        self.bits.append(x.bit_length())
+        if self.bits[-1] > self.most_bits or len(self.bits) >= self.most_calls:
+            raise _Stop
         return math.isqrt(x)
 
 
@@ -256,12 +267,23 @@ def _isqrt_calls(monkeypatch, approx, n_range, bits=None):
     with monkeypatch.context() as m:
         m.setattr(expansion, "math", counting)
         rows = error_table(approx, n_range, bits)
-    return rows, counting.isqrt_calls
+    return rows, len(counting.bits)
+
+
+def _need(approx, bits, n):
+    """Bits of the leading root's constant that ``error_table`` row ``n`` reads."""
+    base, lead_base = approx.error_base, dominant(approx.source)[1]
+    log_rate = math.log2(base.numerator) - math.log2(base.denominator)
+    precision = bits if bits is not None else max(96, int(n * log_rate) + 96)
+    return precision + n * math.isqrt(lead_base.numerator).bit_length() + expansion._GUARD_BITS
 
 
 def test_error_table_takes_one_isqrt_per_row(monkeypatch):
-    # One per row (the source's root) and one per multi-term table (the
-    # leading root's constant); a single-term table takes none.
+    # One per row (the source's root), one per multi-term table (rb, the
+    # root of the leading base) and the leading root's constants: exactly
+    # one when the last row needs at most twice the first row's bits (every
+    # single-row table and range(40, 60)), otherwise at most
+    # 1 + ceil(log2(need(n_hi)/need(n_lo))).  A single-term table takes none.
     texts = ["2*4^n + 1", "(7/2)*9^n - (5/3)*4^n + 2", "3*7^n - 5*5^n + 2*3^n"]
     texts += [text for text, _ in _LEAD_ROOT_CASES]
     cases = [(text, j, n_range) for text, j in itertools.product(texts, (0, 1))
@@ -272,11 +294,31 @@ def test_error_table_takes_one_isqrt_per_row(monkeypatch):
         for bits in (None, 1, 64, 400):
             rows, calls = _isqrt_calls(monkeypatch, approx, n_range, bits)
             assert len(rows) == len(n_range)
-            assert calls == len(rows) + 1, (text, j, n_range, bits)
+            lo, hi = (_need(approx, bits, n) for n in (n_range[0], n_range[-1]))
+            if n_range.start in (5, 40):
+                assert hi <= 2 * lo
+            constants = calls - len(rows) - 1
+            if hi <= 2 * lo:
+                assert constants == 1, (text, j, n_range, bits)
+            else:
+                assert 1 < constants <= 1 + math.ceil(math.log2(hi / lo)), (text, j, n_range)
     single = sqrt_approximation(parse_form("5^n"), 0)
     assert _isqrt_calls(monkeypatch, single, range(0, 31)) == (
         error_table(single, range(0, 31)), 0)
     assert _isqrt_calls(monkeypatch, approx, range(3, 3)) == ([], 0)
+
+
+def test_error_table_sizes_no_constant_to_a_row_not_reached(monkeypatch):
+    # A constant sized to n = 10**7 - 1 would be a ~68-million-bit isqrt
+    # argument before row 0; sized to the rows reached, 40 calls stay small.
+    approx = sqrt_approximation(parse_form("4^n + 3^n"), 0)
+    counting = _CountingMath(most_bits=10**5, most_calls=40)
+    monkeypatch.setattr(expansion, "math", counting)
+    start = time.perf_counter()
+    with pytest.raises(_Stop):
+        error_table(approx, range(0, 10**7))
+    assert time.perf_counter() - start < 1
+    assert len(counting.bits) == 40 and max(counting.bits) <= 10**5
 
 
 def test_error_table_falls_back_to_a_row_isqrt_without_guard_bits(monkeypatch):
@@ -290,7 +332,8 @@ def test_error_table_falls_back_to_a_row_isqrt_without_guard_bits(monkeypatch):
         for bits in (None, 1, 8, 64):
             for n_range in [range(0, 31)] + [range(n, n + 1) for n in range(31)]:
                 rows, calls = _isqrt_calls(monkeypatch, approx, n_range, bits)
-                fallbacks += calls - len(rows) - 1
+                if len(rows) == 1:  # one row, rb's isqrt and one constant
+                    fallbacks += calls - 3
                 assert _assert_table_matches_oracle(approx, n_range, bits) == rows
     assert fallbacks > 20
 
@@ -334,9 +377,9 @@ def test_error_table_negative_inputs_fail_as_the_oracle_does():
     with pytest.raises(ValueError, match=r"^source\(0\) = -2 is negative$"):
         error_table(approx, range(0, 6))
     _assert_table_matches_oracle(approx, range(0, 6))
-    # Every row's sign comes before the leading root's constant, whose size
-    # grows with the last n: a wide range still fails at once, at its first
-    # row or a later one.
+    # Each row's sign is checked as soon as its value is summed, and no
+    # constant is sized past the rows reached: a wide range still fails at
+    # once, at its first row or a later one.
     later = sqrt_approximation(parse_form("4^n - 3*3^n + 3"), 0)
     _assert_table_matches_oracle(later, range(0, 6))
     for wide, first in ((approx, 0), (later, 1)):
