@@ -2,8 +2,9 @@
 
 Subcommands: cf, pell, growth, profile, hypothesis, expand, family,
 identities.  Exit codes: 0 success, 1 identity-check failure,
-2 invalid input, 3 resource cap hit (fatal caps always; soft caps only
-under --strict).  ``_COMMANDS`` holds each command's help, run function
+2 invalid input, 3 resource cap hit: always for a fatal cap; a run returns
+3 for a soft cap, which ``main`` alone keeps under --strict and turns into
+0 otherwise.  ``_COMMANDS`` holds each command's help, run function
 and flags, and is the only place a flag is declared.  ``main`` reads
 well-formed argv of a runnable command straight from that entry, without
 argparse; every other argv goes to the one parser tree (``build_parser``),
@@ -101,9 +102,7 @@ def _run_cf_sqrt(args, out: list[str]) -> int:
     else:
         period = word or "(elided)"
     out.append(_record(fmt, ("D", "a0", "r", "period"), (exp.D, exp.a0, exp.r, period)))
-    if args.strict and exp.period is None:
-        return 3
-    return 0
+    return 3 if exp.period is None else 0
 
 
 def _run_cf_period(args, out: list[str]) -> int:
@@ -132,7 +131,7 @@ def _skipped(n: int, note: str) -> None:
 
 def _run_pell_scan(args, out: list[str]) -> int:
     from .forms import eval_exact, parse_form
-    from .growth import bounded_pell_solutions, min_solution_growth
+    from .growth import _check_box, bounded_pell_solutions, min_solution_growth
     if (args.D is None) == (args.form is None):
         raise ValueError("pell scan needs exactly one of --D or --form")
     mode, unread = (("--D", ("n", "all", "strict")) if args.D is not None
@@ -140,6 +139,7 @@ def _run_pell_scan(args, out: list[str]) -> int:
     given = [f"--{name}" for name in unread if getattr(args, name) not in (None, False)]
     if given:
         raise ValueError(f"pell scan {mode} does not read {', '.join(given)}")
+    _check_box(args.C, args.y_limit)
     fmt = _format(args, "csv", "json")
     scan_y_limit = args.y_limit if args.y_limit is not None else 10**12
 
@@ -195,9 +195,7 @@ def _run_pell_scan(args, out: list[str]) -> int:
     if not result.hypothesis.holds:
         print("# warning: the square-decomposition hypothesis fails for this form",
               file=sys.stderr)
-    if args.strict and any(reason == "cap" for _, reason in result.skipped):
-        return 3
-    return 0
+    return 3 if any(reason == "cap" for _, reason in result.skipped) else 0
 
 
 def _run_growth_denom(args, out: list[str]) -> int:
@@ -222,18 +220,13 @@ def _run_profile_pq(args, out: list[str]) -> int:
         columns.append("effective_exponents")
     else:
         columns += ["min_eff_exponent", "max_eff_exponent"]
+    profiles, skipped = partial_quotient_profile(form, _parse_n_range(args.n), args.c)
+    for n, note in skipped:
+        _skipped(n, note)
     rows = []
-    for n in _parse_n_range(args.n):
-        prof = partial_quotient_profile(form, n, args.c)
-        if isinstance(prof, str):
-            _skipped(n, prof)
-            continue
-        exps = prof.effective_exponents
-        if fmt == "json":
-            ends = [list(exps)]
-        else:
-            ends = [min(exps, default=None), max(exps, default=None)]
-        rows.append((prof.n, prof.D, prof.prefix_length, prof.max_partial_quotient, *ends))
+    for n, D, length, max_a, exps in profiles:
+        ends = [list(exps)] if fmt == "json" else [min(exps, default=None), max(exps, default=None)]
+        rows.append((n, D, length, max_a, *ends))
     out.append(harness.emit_table(columns, rows, fmt, indent=2))
     return 0
 
@@ -528,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     else:
         sys.stdout.write(data)
-    return code
+    return 0 if code == 3 and not getattr(args, "strict", False) else code
 
 
 if __name__ == "__main__":

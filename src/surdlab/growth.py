@@ -10,7 +10,9 @@ A minimal solution needs only half a period: the small-integer walk stops
 at the first small value or at the palindrome midpoint, and the answering
 convergent is built once.  The bounded scan and the profiles report every
 convergent in their box, so they still go step by step.  A row whose
-f(n) has no period is skipped with the note of ``surd._radicand``.
+f(n) has no period is skipped with the note of ``surd._radicand``.  Bad
+input, and a profile bound exp(c*n) past the digit budget, are refused
+before the first row.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .forms import PowerSumForm, classify, eval_exact
+from .forms import PowerSumForm, _check_n, classify, eval_exact
 from .surd import (
     DEFAULT_DIGIT_BUDGET,
     PellSolution,
@@ -156,46 +158,51 @@ def denominator_growth(
     return out
 
 
-# Observational profile of the first convergents of sqrt(f(n)).
-# ``max_partial_quotient`` is the largest partial quotient consumed while
-# convergent denominators stayed below exp(c*n); ``effective_exponents`` are
-# the measured values of log(1/|sqrt(D) - p/q|)/log(q) over that prefix.
+# One row of ``partial_quotient_profile``.  ``max_partial_quotient`` is the
+# largest partial quotient consumed while convergent denominators stayed
+# below exp(c*n); ``effective_exponents`` are the measured values of
+# log(1/|sqrt(D) - p/q|)/log(q) over that prefix.
 PartialQuotientProfile = namedtuple(
     "PartialQuotientProfile",
     "n D prefix_length max_partial_quotient effective_exponents")
 
 
 def partial_quotient_profile(
-    f: PowerSumForm, n: int, c: float
-) -> PartialQuotientProfile | str:
+    f: PowerSumForm, n_range: range, c: float
+) -> tuple[list[PartialQuotientProfile], list[tuple[int, str]]]:
     """Profile sqrt(f(n)) while convergent denominators stay below exp(c*n).
 
-    When sqrt(f(n)) has no period the row is skipped: the result is then
-    the note "non-integer", "non-positive" or "square".  Purely
-    observational: the exponents are floats derived from exact integers,
-    with |sqrt(D) - p/q| = |p**2 - D*q**2| / (q*(sqrt(D)*q + p)).
+    Returns the rows and the skipped ``(n, note)`` pairs of the range; a
+    row where sqrt(f(n)) has no period is skipped with the note
+    "non-integer", "non-positive" or "square".  Purely observational: the
+    exponents are floats derived from exact integers, with
+    |sqrt(D) - p/q| = |p**2 - D*q**2| / (q*(sqrt(D)*q + p)).
 
-    Raises ``ResourceLimitError`` before the walk when exp(c*n) has more
-    than ``DEFAULT_DIGIT_BUDGET`` digits.  Below that the walk is bounded:
+    Refused before any row: a c that is not finite and positive or an n
+    below 0 raises ValueError, and an exp(c*n) of more than
+    ``DEFAULT_DIGIT_BUDGET`` digits at the last n raises
+    ``ResourceLimitError``.  Below that each walk is bounded:
     q_j >= phi**(j - 1) stops it within about 2.08*c*n steps.
     """
     if not 0 < c < math.inf:
         raise ValueError(f"invalid c={c}: must be {'finite' if c > 0 else 'positive'}")
-    D, a0, note = _radicand(eval_exact(f, n))
-    if note:
-        return note
-    bound = c * n
-    if bound > DEFAULT_DIGIT_BUDGET * math.log(10):
-        raise ResourceLimitError(
-            f"exp({c}*{n}) has over {DEFAULT_DIGIT_BUDGET} digits (the digit budget)"
-        )
-    max_a = 0
-    exponents: list[float] = []
-    for steps, p, q, value, a in pell_value_stream(D):
-        if not math.log(q) < bound:
-            break
-        max_a = max(max_a, a)
-        if q > 1:
-            err_log = math.log(abs(value)) - math.log(q) - math.log(a0 * q + p)
-            exponents.append(-err_log / math.log(q))
-    return PartialQuotientProfile(n, D, steps, max_a, tuple(exponents))
+    _check_n(n_range.start)
+    if n_range and c * n_range[-1] > DEFAULT_DIGIT_BUDGET * math.log(10):
+        raise ResourceLimitError(f"exp({c}*{n_range[-1]}) has over {DEFAULT_DIGIT_BUDGET} "
+                                 "digits (the digit budget)")
+    rows, skipped = [], []
+    for n in n_range:
+        D, a0, note = _radicand(eval_exact(f, n))
+        if note:
+            skipped.append((n, note))
+            continue
+        max_a, exponents = 0, []
+        for steps, p, q, value, a in pell_value_stream(D):
+            if not math.log(q) < c * n:
+                break
+            max_a = max(max_a, a)
+            if q > 1:
+                err_log = math.log(abs(value)) - math.log(q) - math.log(a0 * q + p)
+                exponents.append(-err_log / math.log(q))
+        rows.append(PartialQuotientProfile(n, D, steps, max_a, tuple(exponents)))
+    return rows, skipped

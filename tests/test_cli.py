@@ -16,6 +16,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,14 @@ from surdlab.cli import main
 from surdlab.expansion import sqrt_approximation
 from surdlab.forms import parse_form
 
-from oracles import interval_error_table, plain_period_word
+from oracles import (
+    brute_force_pell,
+    interval_error_table,
+    is_perfect_square,
+    per_term_eval,
+    plain_period_word,
+    plain_states,
+)
 
 
 def run(capsys, *argv):
@@ -538,11 +546,13 @@ def test_profile_pq_golden_bytes(capsys):
     assert out == PROFILE_PQ_GOLDEN
 
 
-@pytest.mark.parametrize("c", ["200000", "1e308"])
-def test_profile_pq_past_the_digit_budget_exits_3(capsys, c):
-    # exp(c*n) has over DEFAULT_DIGIT_BUDGET digits: refused before the walk.
-    code, out, err = run(capsys, "profile", "pq", "--form", "2*4^n + 1", "--n", "2..2",
-                         "--c", c)
+@pytest.mark.parametrize("n, c", [("2..2", "200000"), ("2..2", "1e308"), ("1..3", "100000")])
+def test_profile_pq_past_the_digit_budget_exits_3(capsys, n, c):
+    # exp(c*n) has over DEFAULT_DIGIT_BUDGET digits at the last n: refused
+    # before the first row, though rows 1 (a square) and 2 are within it.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "profile", "pq", "--form", "2*4^n + 1", "--n", n, "--c", c)
+    assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert err.startswith("resource cap: ")
 
@@ -819,6 +829,17 @@ GOLDEN_MATRIX = [
     ("pell scan --form '(1/2)*4^n + 1' --C 3 --n 0..2 --all", 0, "52685cb9363b841b", "8d40a2eb7282ccee"),
     ("pell scan --form '2^n - 5' --C 2 --n 1..4", 0, "80bdcc48f0a3497e", "8b6aedc30dbbee20"),
     ("pell scan --form '(1/2)*4^n + 1' --C 3 --n 0..2", 0, "5f0cfbcdf49315ce", "56179347b908b3fb"),
+    # Refused before the first row: profile pq prices exp(c*n) at the last
+    # n (no skip line for the square at n = 1, no walk of row 2), and every
+    # pell scan mode checks --C before it skips a row.
+    ("profile pq --form '2*4^n + 1' --n 1..3 --c 100000", 3, "e3b0c44298fc1c14", "75596369f1cc5c0c"),
+    ("profile pq --form 4 --n 1..2 --c 1e308", 3, "e3b0c44298fc1c14", "1e8ff97a129fbe4d"),
+    ("pell scan --form '2^n - 9' --C 0 --n 1..3 --all", 2, "e3b0c44298fc1c14", "b3ae932c29790d1d"),
+    ("pell scan --form '2^n - 5' --C 0 --n 1..4 --all", 2, "e3b0c44298fc1c14", "b3ae932c29790d1d"),
+    # The min-Y scan decides the hypothesis first, so the root series' depth
+    # cap exits 3 though each D answers at once; and the product cap.
+    ("pell scan --form '100000000^n + 99990000^n' --C 2 --n 1..2", 3, "e3b0c44298fc1c14", "977a13d5949500f6"),
+    ("expand sqrt --form '(65/8)*9964^n - (165/4)*9000^n - (3/8)*9373^n' --j 0 --n-range 1..2", 3, "e3b0c44298fc1c14", "42abac141c30a92e"),
 ]
 
 
@@ -1483,14 +1504,69 @@ def _assert_expand_rows_match_the_oracle(argv, rows):
             argv, n)
 
 
+def _assert_answers_match_the_oracles(command, argv, rows):
+    """The JSON rows of a command that has a plain oracle are the oracle's.
+
+    Returns the number of rows checked: 0 for a command or mode with none.
+    """
+    args = cli._parse_args(argv)
+    if command in ("cf sqrt", "cf period", "cf pell"):
+        (row,) = rows
+        word = plain_period_word(row["D"])
+        if command == "cf sqrt":
+            assert row["a0"] == math.isqrt(row["D"]), argv
+            assert row["period"] == (None if len(word) > args.word_cap else word), argv
+        if command != "cf pell":
+            assert row["r"] == len(word), argv
+            return 1
+        # The least Y of X^2 - D*Y^2 = +-1 is the first convergent that hits it.
+        D, (p, q), (p0, q0) = row["D"], (1, 0), (0, 1)
+        for a, _, _ in plain_states(D):
+            (p, q), (p0, q0) = (a * p + p0, a * q + q0), (p, q)
+            if abs(p * p - D * q * q) == 1:
+                break
+        assert (row["X"], row["Y"]) == (p, q), argv
+        assert row["value"] == p * p - D * q * q == (-1) ** len(word), argv
+        return 1
+    if command == "pell scan" and args.D is not None and args.C ** 2 <= args.D:
+        # Complete: every solution with Y up to a small bound inside the box.
+        y_top = min(args.y_limit or 10**12, 10**args.digit_budget, 2000)
+        got = sorted((s["X"], s["Y"], s["value"]) for s in rows if s["Y"] <= y_top)
+        assert got == sorted(map(tuple, brute_force_pell(args.D, args.C, y_top))), argv
+        return len(got)
+    if command == "growth denom":
+        f = parse_form(args.form)
+        for row, n in zip(rows, cli._parse_n_range(args.n), strict=True):
+            den = (per_term_eval(f, n) / Fraction(args.b) ** n).denominator
+            assert row == {"n": n, "denominator": den, "log_denominator": math.log(den),
+                           "flagged": den * den < 2**n}, argv
+        return len(rows)
+    if command == "family":
+        f = parse_form(args.form or harness.PRESETS[args.preset][0])
+        for row in rows:
+            value = per_term_eval(f, row["n"])
+            D = value.numerator if value.denominator == 1 else None
+            assert row["D"] == D, argv
+            if row["r"] is None:
+                assert row["is_square"] == (D is not None and is_perfect_square(D)), argv
+                continue
+            word = plain_period_word(D)
+            assert (row["r"], row["palindrome_ok"], row["pell_sign"], row["max_pq_prefix"]) == (
+                len(word), word[:-1] == word[-2::-1], (-1) ** len(word), max(word)), argv
+        return len(rows)
+    return 0
+
+
 def test_text_csv_and_json_agree_on_golden_and_fuzzed_argv(capsys):
     # The golden argv without --format and seeded FUZZ draws, each run in
     # all three formats: one exit code and one stderr; each CSV line is its
-    # JSON row under the cell rule; every expand sqrt row is the oracle's.
+    # JSON row under the cell rule; every expand sqrt row is the oracle's,
+    # and so is every answer of cf, pell scan --D (C^2 <= D), growth denom
+    # and family.
     rng = random.Random(34)
     argvs = [shlex.split(case[0]) for case in GOLDEN_MATRIX if "--format" not in case[0]]
     argvs += [[*command.split(), *FUZZ[command](rng)] for _ in range(30) for command in RUNNABLE]
-    tables, expand_rows = [], 0
+    tables, expand_rows, checked = [], 0, dict.fromkeys(RUNNABLE, 0)
     for argv in argvs:
         command, _ = _runnable(argv)
         code, text, err = run_exit(capsys, argv + ["--format", "text"])
@@ -1513,5 +1589,9 @@ def test_text_csv_and_json_agree_on_golden_and_fuzzed_argv(capsys):
         if command == "expand sqrt":
             _assert_expand_rows_match_the_oracle(argv, payload)
             expand_rows += len(payload)
+        else:
+            checked[command] += _assert_answers_match_the_oracles(command, argv, payload)
     assert len(tables) > 100 and set(tables) == set(RUNNABLE) - CSV_IS_TEXT
     assert expand_rows > 400
+    assert all(checked[command] for command in (
+        "cf sqrt", "cf period", "cf pell", "pell scan", "growth denom", "family")), checked

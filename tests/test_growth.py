@@ -265,26 +265,38 @@ def test_denominator_growth_validates_input():
 
 
 def test_partial_quotient_profile_title():
-    prof = partial_quotient_profile(TITLE, 3, 10.0)  # D = 129
+    (prof,), _ = partial_quotient_profile(TITLE, range(3, 4), 10.0)  # D = 129
     assert prof.D == 129
     assert prof.max_partial_quotient == 22  # 2*a0, inside the first period
-    prof = partial_quotient_profile(TITLE, 2, 10.0)  # D = 33
+    (prof,), _ = partial_quotient_profile(TITLE, range(2, 3), 10.0)  # D = 33
     assert prof.max_partial_quotient == 10
 
 
 def test_partial_quotient_profile_h_squared_plus_one():
-    prof = partial_quotient_profile(parse_form("4^n + 1"), 3, 10.0)  # D = 65
+    (prof,), _ = partial_quotient_profile(parse_form("4^n + 1"), range(3, 4), 10.0)  # D = 65
     assert prof.max_partial_quotient == 16
 
 
 def test_partial_quotient_profile_skips_squares():
-    assert partial_quotient_profile(TITLE, 1, 2.0) == "square"  # f(1) = 9
+    assert partial_quotient_profile(TITLE, range(1, 2), 2.0) == ([], [(1, "square")])  # f(1) = 9
 
 
 def test_partial_quotient_profile_exponents_near_two():
-    prof = partial_quotient_profile(TITLE, 4, 8.0)
+    (prof,), _ = partial_quotient_profile(TITLE, range(4, 5), 8.0)
     assert prof.effective_exponents
     assert all(1.5 < e < 5 for e in prof.effective_exponents)
+
+
+def test_partial_quotient_profile_refuses_its_range_before_any_row():
+    # c first, then n >= 0, then the price of exp(c*n) at the last n; an
+    # empty range has no last n to price.
+    with pytest.raises(ValueError, match="invalid c"):
+        partial_quotient_profile(TITLE, range(-1, 10**9), math.inf)
+    with pytest.raises(ValueError, match="negative n"):
+        partial_quotient_profile(TITLE, range(-1, 10**9), 1.0)
+    with pytest.raises(surd.ResourceLimitError, match=r"exp\(1\.0\*999999999\)"):
+        partial_quotient_profile(TITLE, range(0, 10**9), 1.0)
+    assert partial_quotient_profile(TITLE, range(5, 5), 1e308) == ([], [])
 
 
 @settings(max_examples=40, deadline=None)
