@@ -21,7 +21,8 @@ fixes r and the whole word (``cf_sqrt``, ``period_length`` and family
 rows), or stops earlier at the least Y of |X**2 - D*Y**2| < C
 (``_least_convergent_below``, behind the minimal-Y family scan and
 ``fundamental_pell``, the case C = 2), or once the answer is surely over
-its bound on Y.
+its bound on Y.  At the midpoint ``_pell_from_half`` builds the fundamental
+solution from its convergents and certifies it with half-size norms.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ def pell_value_stream(D: int) -> Iterator[tuple[int, int, int, int, int]]:
     ``cf_stream`` plus the convergents: the value comes from the surd
     recurrence identity ``p_j**2 - D*q_j**2 = (-1)**(j+1) * d_{j+1}``,
     avoiding a large squaring per step; ``a_{j+1}`` is the partial
-    quotient that builds the next convergent.  Callers that return
-    solutions re-verify them directly.
+    quotient that builds the next convergent.  Fundamental solutions are
+    certified at half size; other returned solutions are checked directly.
     """
     steps = cf_stream(D)
     p, pm1, q, qm1 = next(steps)[0], 1, 1, 0
@@ -236,24 +237,34 @@ def _word_matrix(word: list[int], lo: int, hi: int) -> tuple[int, int, int, int]
             z1 * x2 + w1 * z2, z1 * y2 + w1 * w2)
 
 
-def _pell_from_half(a0: int, r: int, half: list[int]) -> tuple[int, int]:
-    """``(p_{r-1}, q_{r-1})`` of sqrt(D) from a0 and the half word of length r // 2.
+def _pell_from_half(D: int, a0: int, r: int, half: list[int], d: int) -> tuple[int, int]:
+    """Fundamental ``(X, Y)`` of sqrt(D) from a0, the half word and d = d_h.
 
-    With A_k = [[a_k, 1], [1, 0]], (p_{r-1}, q_{r-1}) is the first column
-    of A_0 A_1 ... A_{r-1}.  The word is a palindrome and each A_k is
-    symmetric, so with L = A_1 ... A_{h'} built from the half word the
-    middle factor is L A_h L^T for even r (h' = h - 1) and L L^T for odd
-    r (h' = h).
+    With alpha_k = p_{k-1} + q_{k-1}*sqrt(D), of norm (-1)**k * d_k, the
+    unit X + Y*sqrt(D) is alpha_h**2 / d_h for r = 2h and
+    alpha_h*alpha_{h+1} / d_h for r = 2h + 1, where d_{h+1} = d_h.  So
+    d_h**2 * (X**2 - D*Y**2) is N(alpha_h)**2, or N(alpha_h)*N(alpha_{h+1}),
+    read off the half-size products as the norm of alpha_h*alpha'_{h+1}:
+    zero remainders and that norm certify X**2 - D*Y**2 = (-1)**r.
     """
     h = len(half)
     if r % 2:
         x, y, z, w = _word_matrix(half, 0, h)
-        q = x * x + y * y
-        return a0 * q + x * z + y * w, q
-    x, y, z, w = _word_matrix(half, 0, h - 1)
-    a = half[-1]
-    q = x * (a * x + 2 * y)
-    return a0 * q + x * (a * z + w) + y * z, q
+        p, q, s, t = a0 * y + w, y, a0 * x + z, x
+        ps, dqt, pt, qs = p * s, D * (q * t), p * t, q * s
+        X, u = divmod(ps + dqt, d)
+        Y, v = divmod(pt + qs, d)
+        norm, want = (ps - dqt) ** 2 - D * (pt - qs) ** 2, -d * d
+    else:
+        x, _, z, _ = _word_matrix(half, 0, h - 1)
+        p, q = a0 * x + z, x
+        pp, dqq = p * p, D * (q * q)
+        X, u = divmod(pp + dqq, d)
+        Y, v = divmod(2 * p * q, d)
+        norm, want = pp - dqq, -d if h % 2 else d
+    if u or v or norm != want:
+        raise AssertionError("pell value identity violated")
+    return X, Y
 
 
 def _checked(D: int, p: int, q: int, value: int) -> PellSolution:
@@ -268,10 +279,11 @@ def fundamental_pell(D: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> PellSo
 
     As d_k = 1 first at k = r, it is the least convergent with
     |X**2 - D*Y**2| < 2, which ``_least_convergent_below`` builds once
-    from the half word; the value is (-1)**r.  The period may be of any
-    length: X over the digit budget is refused (``ResourceLimitError``);
-    with b = bits(budget), a refusal walks at most 2*b steps and builds
-    nothing whose bound on Y passes the budget.
+    from the midpoint convergents and certifies at half size; the value
+    is (-1)**r.  The period may be of any length: X over the digit budget
+    is refused (``ResourceLimitError``); with b = bits(budget), a refusal
+    walks at most 2*b steps and builds nothing whose bound on Y passes
+    the budget.
     """
     bits = _digit_budget_bits(digit_budget)
     sol = _least_convergent_below(D, _check_surd(D), 2, _y_max(digit_budget))
@@ -290,7 +302,7 @@ def _least_convergent_below(D: int, a0: int, C: int, y_max: int) -> PellSolution
     As d_k = d_{r-k} for 0 < k < r and d_r = 1, that k lies in the first
     half of the period or is r, so the small-integer walk stops at k or
     at the palindrome midpoint and the convergent is built once: a
-    balanced product over a_0 .. a_{k-1}, or the fundamental solution.
+    balanced product over a_0 .. a_{k-1}, or the certified fundamental solution.
     C = 1 never hits and returns None at once.
 
     q_j never decreases in j, and log2 q_j >= max(sum(bitlen(a_i) - 1),
@@ -317,10 +329,8 @@ def _least_convergent_below(D: int, a0: int, C: int, y_max: int) -> PellSolution
         bits = 2 * bits - (0 if r % 2 else half[-1].bit_length() - 1)
     if max(bits, j // 2) >= b:
         return None
-    if r is None:
-        x, _, z, _ = _word_matrix(half, 0, j)
-        p, q, value = a0 * x + z, x, d if j % 2 else -d
-    else:
-        p, q = _pell_from_half(a0, r, half)
-        value = -1 if r % 2 else 1
-    return _checked(D, p, q, value) if q <= y_max else None
+    if r is not None:
+        X, Y = _pell_from_half(D, a0, r, half, d)
+        return PellSolution(X, Y, -1 if r % 2 else 1) if Y <= y_max else None
+    x, _, z, _ = _word_matrix(half, 0, j)
+    return _checked(D, a0 * x + z, x, d if j % 2 else -d) if x <= y_max else None

@@ -9,7 +9,7 @@ from itertools import islice
 
 from surdlab.forms import PowerSumForm, add, dominant, eval_exact, mul, normalize, scale
 from surdlab.intervals import Interval, sqrt_interval
-from surdlab.surd import PellSolution
+from surdlab.surd import PellSolution, _word_matrix
 
 
 def is_perfect_square(n: int) -> bool:
@@ -135,6 +135,28 @@ def plain_min_solution(D: int, C: int, y_limit: int | None, bits_cap: int
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         sign = -sign
+
+
+def palindrome_pell(a0: int, r: int, half: list[int]) -> tuple[int, int]:
+    """``(p_{r-1}, q_{r-1})`` of sqrt(D) from a0 and the half word of length r // 2.
+
+    The palindrome-product build, a reference for ``surd._pell_from_half``,
+    which builds the same solution from the midpoint convergents instead.
+    With A_k = [[a_k, 1], [1, 0]], (p_{r-1}, q_{r-1}) is the first column
+    of A_0 A_1 ... A_{r-1}.  The word is a palindrome and each A_k is
+    symmetric, so with L = A_1 ... A_{h'} built from the half word the
+    middle factor is L A_h L^T for even r (h' = h - 1) and L L^T for odd
+    r (h' = h).
+    """
+    h = len(half)
+    if r % 2:
+        x, y, z, w = _word_matrix(half, 0, h)
+        q = x * x + y * y
+        return a0 * q + x * z + y * w, q
+    x, y, z, w = _word_matrix(half, 0, h - 1)
+    a = half[-1]
+    q = x * (a * x + 2 * y)
+    return a0 * q + x * (a * z + w) + y * z, q
 
 
 def lead_base(approx):

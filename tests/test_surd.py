@@ -14,7 +14,7 @@ from itertools import count, islice
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surdlab import surd
@@ -38,6 +38,7 @@ from surdlab.surd import (
 
 from oracles import (
     is_perfect_square,
+    palindrome_pell,
     plain_midpoint_walk,
     plain_period,
     plain_period_word,
@@ -547,6 +548,85 @@ def test_fundamental_pell_anchor_matches_linear_oracle():
     X, Y, value, r = linear_pell(D)
     assert r == 31_776
     assert fundamental_pell(D) == PellSolution(X, Y, value)
+
+
+@pytest.mark.parametrize("D, r", [(2, 1), (3, 2), (13, 5), (129, 10)])
+def test_fundamental_pell_on_edge_periods_matches_plain_states(D, r):
+    # The first convergent p_{k-1}/q_{k-1} with Q_k = 1, from the classical
+    # walk; every earlier one has |p**2 - D*q**2| = Q_k >= 2.
+    p, p_prev, q, q_prev = math.isqrt(D), 1, 1, 0
+    for k, (a, _, Q) in enumerate(islice(plain_states(D), 1, None), 1):
+        assert abs(p * p - D * q * q) == Q
+        if Q == 1:
+            break
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+    assert k == r == period_length(D)
+    assert fundamental_pell(D) == PellSolution(p, q, (-1) ** r)
+
+
+@pytest.mark.parametrize("D, r", [(19, 6), (13, 5)])
+def test_pell_from_half_refuses_a_wrong_quotient_or_d(D, r):
+    a0 = math.isqrt(D)
+    walked, half, d = surd._midpoint_walk(D, a0, r)
+    assert walked == r
+    X, Y, _, _ = linear_pell(D)
+    assert surd._pell_from_half(D, a0, r, half, d) == (X, Y)
+    # Even r builds from a_1 .. a_{h-1} alone; odd r reads the whole half.
+    for i in range(len(half) if r % 2 else len(half) - 1):
+        for delta in (-1, 1):
+            bad = half.copy()
+            bad[i] += delta
+            if bad[i] > 0:
+                with pytest.raises(AssertionError, match="pell value identity violated"):
+                    surd._pell_from_half(D, a0, r, bad, d)
+    for bad_d in (d - 1, d + 1):
+        with pytest.raises(AssertionError, match="pell value identity violated"):
+            surd._pell_from_half(D, a0, r, half, bad_d)
+
+
+@pytest.mark.parametrize("D, a0, r, d", [(6, 1, 2, 5), (10, 1, 1, 3)])
+def test_pell_from_half_refuses_a_unit_that_does_not_divide(D, a0, r, d):
+    # A wrong a0 whose norm still matches d: 1 - 6 = -5, and
+    # N(1 + 0*sqrt(10)) * N(1 + sqrt(10)) = -9; only a remainder shows it.
+    half = surd._midpoint_walk(D, math.isqrt(D), r)[1]
+    with pytest.raises(AssertionError, match="pell value identity violated"):
+        surd._pell_from_half(D, a0, r, half, d)
+
+
+def test_fundamental_pell_is_certified_without_the_full_size_check(monkeypatch):
+    checked = surd._checked
+    calls = []
+
+    def recording(D, p, q, value):
+        calls.append(D)
+        return checked(D, p, q, value)
+
+    monkeypatch.setattr(surd, "_checked", recording)
+    for D in (2, 3, 13, 19, 129, 5_000_000_009):
+        fundamental_pell(D)
+    assert calls == []
+    # d_1 = 3 for D = 19: a min-Y row with C = 4 stops before the midpoint
+    # and still checks its convergent 4/1 directly.
+    assert surd._least_convergent_below(19, 4, 4, 10**6) == PellSolution(4, 1, -3)
+    assert calls == [19]
+
+
+@given(st.integers(min_value=2, max_value=10**12 - 1))
+@settings(max_examples=200, deadline=None)
+def test_fundamental_pell_matches_palindrome_product(D):
+    assume(not is_perfect_square(D))
+    # The budget refuses the longest periods after a short walk, which
+    # bounds the time per draw; most D < 10**12 fit in it.
+    try:
+        sol = fundamental_pell(D, digit_budget=50_000)
+    except ResourceLimitError:
+        assume(False)
+    a0 = math.isqrt(D)
+    # keep = 2*D >= r, as sqrt(D) has fewer than 2*D reduced states.
+    r, half, _ = surd._midpoint_walk(D, a0, 2 * D)
+    assert (sol.X, sol.Y) == palindrome_pell(a0, r, half)
+    assert sol.X * sol.X - D * sol.Y * sol.Y == sol.value == (-1) ** r
 
 
 def test_fundamental_pell_matches_sympy_diop_dn():
