@@ -117,7 +117,8 @@ def _run_cf_period(args, out: list[str]) -> int:
 def _run_cf_pell(args, out: list[str]) -> int:
     fmt = _format(args, "text", "csv", "json")
     sol = fundamental_pell(args.D, args.digit_budget)
-    columns, values = ("D", "X", "Y", "value"), (args.D, sol.X, sol.Y, sol.value)
+    X, Y = sol[:2] if fmt == "json" else harness.pell_cells(args.D, sol)
+    columns, values = ("D", "X", "Y", "value"), (args.D, X, Y, sol.value)
     if fmt == "text":
         columns, values = columns[1:], values[1:]
     out.append(_record(fmt, columns, values))

@@ -21,7 +21,9 @@ families, ``_identity_families``: h**2 + 1 and (v*w)**2 + 2*w.
 ``emit_table`` turns columns and rows of raw values into CSV, JSON or
 ``label: value`` text; every CLI subcommand prints through it, and
 ``emit`` is its entry point for family records.  Its text and CSV cells
-print ints with ``int_str``, which ``forms`` shares.  ``forms``, ``json``,
+print ints with ``int_str``, which ``forms`` shares; ``pell_cells`` prints
+a big fundamental Pell solution from its half-size factors.  Both convert
+in the one exact context of ``_exact_decimal``.  ``forms``, ``json``,
 ``decimal`` and ``pickle`` are imported where they are used, so a command
 that only emits small numbers, such as ``cf sqrt``, loads none of them.
 """
@@ -34,7 +36,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from functools import cache
 
-from .surd import _midpoint_walk, _radicand, cf_sqrt
+from .surd import _midpoint_walk, _radicand, _unit, cf_sqrt
 # PowerSumForm, in annotations only, is forms.PowerSumForm.
 
 PRESETS: dict[str, tuple[str, int, int]] = {
@@ -249,36 +251,66 @@ def run_identity_checks(n_max: int = 10) -> IdentityReport:
 _STR_BITS = 32_000
 
 
-def int_str(n: int) -> str:
-    """``str(n)`` for any int, by divide and conquer past ``_STR_BITS`` bits.
+def _exact_decimal():
+    """An exact ``decimal`` context and ``digits(m, w)``, m >= 0 as a Decimal.
 
-    CPython 3.12's method (``_pylong.int_to_decimal_string``; Brent &
-    Zimmermann, *Modern Computer Arithmetic*, 1.7): split at bit w/2 and
-    form lo + hi*2**(w/2) exactly in ``Decimal``, whose products are
-    subquadratic, down to ``Decimal(m)`` at 2,048 bits.  Inexact and
-    Rounded are trapped, so a wrong digit raises instead of printing.
-    While the interpreter's int digit limit is set, ``str`` answers, and
-    refuses past it; ``cli.main`` lifts that limit.
+    The context has the widest precision and exponent range, with Inexact
+    and Rounded trapped, so an operation in it is exact or raises instead
+    of printing a wrong digit.  ``digits`` is CPython 3.12's method
+    (``_pylong.int_to_decimal_string``; Brent & Zimmermann, *Modern
+    Computer Arithmetic*, 1.7) for m < 2**w: split at bit w/2 and form
+    lo + hi*2**(w/2) in the context, whose products are subquadratic, down
+    to ``Decimal(m)`` at 2,048 bits.  The powers of 2 are kept for the
+    caller's conversions, which share them when they pass the same w.
     """
-    if n.bit_length() <= _STR_BITS or sys.get_int_max_str_digits():
-        return str(n)
     import decimal
+    ctx = decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
 
     @cache
-    def power(w: int) -> decimal.Decimal:  # 2**w, kept for this call only
+    def power(w: int) -> decimal.Decimal:  # 2**w
         return decimal.Decimal(2) ** w if w <= 2048 else power(w >> 1) * power(w - (w >> 1))
 
-    def digits(m: int, w: int) -> decimal.Decimal:  # Decimal(m), m < 2**w
+    def digits(m: int, w: int) -> decimal.Decimal:
         if w <= 2048:
             return decimal.Decimal(m)
         w2 = w >> 1
         hi = m >> w2
         return digits(m - (hi << w2), w2) + digits(hi, w - w2) * power(w2)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    return decimal.localcontext(ctx), digits
+
+
+def int_str(n: int) -> str:
+    """``str(n)`` for any int, by ``_exact_decimal`` past ``_STR_BITS`` bits.
+
+    While the interpreter's int digit limit is set, ``str`` answers, and
+    refuses past it; ``cli.main`` lifts that limit.
+    """
+    if n.bit_length() <= _STR_BITS or sys.get_int_max_str_digits():
+        return str(n)
+    exact, digits = _exact_decimal()
+    with exact:
         return ("-" if n < 0 else "") + str(digits(abs(n), n.bit_length()))
+
+
+def pell_cells(D: int, sol) -> tuple:
+    """X and Y of ``sol = fundamental_pell(D)`` as text or CSV cells.
+
+    Past ``_STR_BITS`` they print from the half-size row the answer was
+    built from (``surd._pell_from_half``): its two numbers are converted
+    by ``_exact_decimal`` and ``surd._unit`` builds X and Y again from
+    them in the exact context, with its certificate, so a wrong factor
+    raises instead of printing.  Below that size, or under a digit limit,
+    the cells are the ints, as ``int_str`` prints them.
+    """
+    if sol.X.bit_length() <= _STR_BITS or sys.get_int_max_str_digits():
+        return sol.X, sol.Y
+    r, d, m, x, y = sol._factors
+    exact, digits = _exact_decimal()
+    with exact:
+        w = x.bit_length()  # x >= y: the powers of 2 are shared
+        return tuple(map(str, _unit(D, r, d, m, digits(x, w), digits(y, w))))
 
 
 def _cell(value) -> str:

@@ -21,8 +21,12 @@ fixes r and the whole word (``cf_sqrt``, ``period_length`` and family
 rows), or stops earlier at the least Y of |X**2 - D*Y**2| < C
 (``_least_convergent_below``, behind the minimal-Y family scan and
 ``fundamental_pell``, the case C = 2), or once the answer is surely over
-its bound on Y.  At the midpoint ``_pell_from_half`` builds the fundamental
-solution from its convergents and certifies it with half-size norms.
+its bound on Y.  Every convergent is built from one row of the product
+of the walked quotients (``_word_row``) and the state where the walk
+stopped, by p_{k-1} = m_k*q_{k-1} + d_k*q_{k-2}.  At the midpoint
+``_pell_from_half`` reads the fundamental solution off that row, and
+``_unit`` certifies it with half-size norms; ``harness.pell_cells`` runs
+``_unit`` again on the same row in exact decimal to print a big answer.
 """
 
 from __future__ import annotations
@@ -86,7 +90,16 @@ def _check_surd(D: int) -> int:
 # is None when the word was elided by a cap; ``r`` is exact either way.
 CFExpansion = namedtuple("CFExpansion", "D a0 period r")
 
-PellSolution = namedtuple("PellSolution", "X Y value")
+
+class PellSolution(namedtuple("PellSolution", "X Y value")):
+    """A solution X + Y*sqrt(D) of X**2 - D*Y**2 = value.
+
+    A fundamental solution also keeps the half-size factors it was built
+    from, ``_factors`` (see ``_pell_from_half``), which is not a field: the
+    tuple is (X, Y, value) either way.
+    """
+
+    _factors = None
 
 
 def cf_stream(D: int) -> Iterator[tuple[int, int, int, int]]:
@@ -104,21 +117,24 @@ def cf_stream(D: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _midpoint_walk(D: int, a0: int, keep: int = 0, below: int = 0
-                   ) -> tuple[int | None, list[int] | None, int]:
+                   ) -> tuple[int | None, list[int] | None, int, int]:
     """Walk sqrt(D), a0 = isqrt(D), to the palindrome midpoint of its period.
 
-    Returns ``(r, half, d)`` with ``half = [a_1, ..., a_h]``,
+    Returns ``(r, half, d, P)`` with ``half = [a_1, ..., a_h]``,
     h = r // 2, which fixes the whole word: a_k == a_{r-k} for 0 < k < r,
-    and ``d = d_h``.  The midpoint is the first k >= 1 with
-    P_{k+1} == P_k (r = 2k) or the first k >= 0 with d_{k+1} == d_k
-    (r = 2k + 1; k = 0 is r = 1); P_1 = 2*a0 > P_0 makes k = 0 safe in
-    the first test.  ``half`` is kept iff r <= ``keep`` and is None
-    otherwise, so it never holds more than keep // 2 quotients.
+    and ``d = d_h``, ``P = P_{h+1}``.  The midpoint is the first k >= 1
+    with P_{k+1} == P_k (r = 2k) or the first k >= 0 with
+    d_{k+1} == d_k (r = 2k + 1; k = 0 is r = 1); P_1 = 2*a0 > P_0 makes
+    k = 0 safe in the first test.  So ``(P, d)`` is the state (P_k, d_k)
+    of step h for even r and of step h + 1 for odd r.  ``half`` is kept
+    iff r <= ``keep`` and is None otherwise, so it never holds more than
+    keep // 2 quotients.
 
     With ``below`` the walk stops early, with r = None: at the first
-    k >= 1 with d_k < ``below``, returning ``half = [a_1, ..., a_{k-1}]``
-    and ``d = d_k``, or with ``half = None`` once the half would hold more
-    than keep // 2 quotients, so it walks at most keep // 2 + 1 steps.
+    k >= 1 with d_k < ``below``, returning ``half = [a_1, ..., a_{k-1}]``,
+    ``d = d_k`` and ``P = P_k``, or with ``half = None`` once the half
+    would hold more than keep // 2 quotients, so it walks at most
+    keep // 2 + 1 steps.
 
     The one function with the P-form step.  While the half is kept it
     runs one step per turn, bounded by ``range``, and applies ``below``.
@@ -143,30 +159,30 @@ def _midpoint_walk(D: int, a0: int, keep: int = 0, below: int = 0
         # r >= 2k + 2 from here on; (P, d, e) becomes the state of step k + 1.
         P, d, e = Q, e, d
         if d < below:
-            return None, half, d
+            return None, half, d, P
         a = P // d
         half.append(a)
     else:
         if below:
-            return None, None, d
+            return None, None, d, P
         k += 1
         while True:
             a = P // d
             Q = c - P % d
             if Q == P:
-                return 2 * k, None, d
+                return 2 * k, None, d, Q
             e += a * (P - Q)
             if e == d:
-                return 2 * k + 1, None, d
+                return 2 * k + 1, None, d, Q
             a = Q // e
             P = c - Q % e
             if P == Q:
-                return 2 * k + 2, None, e
+                return 2 * k + 2, None, e, P
             d += a * (Q - P)
             if d == e:
-                return 2 * k + 3, None, e
+                return 2 * k + 3, None, e, P
             k += 2
-    return r, half if r <= keep else None, d
+    return r, half if r <= keep else None, d, Q
 
 
 def cf_sqrt(D: int, word_cap: int = DEFAULT_WORD_CAP) -> CFExpansion:
@@ -179,7 +195,7 @@ def cf_sqrt(D: int, word_cap: int = DEFAULT_WORD_CAP) -> CFExpansion:
     if word_cap < 1:
         raise ValueError("word_cap must be positive")
     a0 = _check_surd(D)
-    r, half, _ = _midpoint_walk(D, a0, word_cap)
+    r, half = _midpoint_walk(D, a0, word_cap)[:2]
     if half is None:
         return CFExpansion(D, a0, None, r)
     # Odd r repeats the middle quotient a_h = a_{h+1}; even r does not.
@@ -237,34 +253,73 @@ def _word_matrix(word: list[int], lo: int, hi: int) -> tuple[int, int, int, int]
             z1 * x2 + w1 * z2, z1 * y2 + w1 * w2)
 
 
-def _pell_from_half(D: int, a0: int, r: int, half: list[int], d: int) -> tuple[int, int]:
-    """Fundamental ``(X, Y)`` of sqrt(D) from a0, the half word and d = d_h.
+def _word_row(word: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """The first row ``(x, y)`` of ``_word_matrix(word, lo, hi)``.
 
-    With alpha_k = p_{k-1} + q_{k-1}*sqrt(D), of norm (-1)**k * d_k, the
-    unit X + Y*sqrt(D) is alpha_h**2 / d_h for r = 2h and
-    alpha_h*alpha_{h+1} / d_h for r = 2h + 1, where d_{h+1} = d_h.  So
-    d_h**2 * (X**2 - D*Y**2) is N(alpha_h)**2, or N(alpha_h)*N(alpha_{h+1}),
-    read off the half-size products as the norm of alpha_h*alpha'_{h+1}:
-    zero remainders and that norm certify X**2 - D*Y**2 = (-1)**r.
+    Over a_1 .. a_j that row is (q_j, q_{j-1}), all a convergent build
+    reads.  The row of a product is the row of its left half times the
+    matrix of its right half, so the recursion runs down the left spine
+    with 4 products per node instead of 8, and its leftmost leaf updates
+    2 numbers per quotient instead of 4.
     """
-    h = len(half)
+    if hi - lo <= 64:
+        x, y = 1, 0
+        for a in word[lo:hi]:
+            x, y = a * x + y, x
+        return x, y
+    mid = (lo + hi) // 2
+    x1, y1 = _word_row(word, lo, mid)
+    x2, y2, z2, w2 = _word_matrix(word, mid, hi)
+    return x1 * x2 + y1 * z2, x1 * y2 + y1 * w2
+
+
+def _unit(D: int, r: int, d: int, m: int, x, y) -> tuple:
+    """Certified ``(X, Y)`` of the fundamental unit from the midpoint row.
+
+    ``x, y`` are (q_{h-1}, q_{h-2}) for r = 2h and (q_h, q_{h-1}) for
+    r = 2h + 1, and d = d_h, m = m_k for the midpoint state k = h or h + 1
+    (d_{h+1} = d_h).  With alpha_k = p_{k-1} + q_{k-1}*sqrt(D), of norm
+    (-1)**k * d_k, the unit X + Y*sqrt(D) is alpha_h**2 / d_h for even r
+    and alpha_h*alpha_{h+1} / d_h for odd r.  Its p are read off the row
+    by p_{k-1} = m_k*q_{k-1} + d_k*q_{k-2}, which for odd r, with
+    m_{h+1} = a_h*d_h - m_h, also gives p_{h-1} = d_h*q_h - m_{h+1}*q_{h-1}.
+    So d_h**2 * (X**2 - D*Y**2) is N(alpha_h)**2, or
+    N(alpha_h)*N(alpha_{h+1}), read off the half-size products as the
+    norm of alpha_h*alpha'_{h+1}: zero remainders and that norm certify
+    X**2 - D*Y**2 = (-1)**r, else it raises.  x and y may be ints or, in
+    an exact ``decimal`` context, Decimals (``harness.pell_cells``).
+    """
+    e = m * x + d * y
     if r % 2:
-        x, y, z, w = _word_matrix(half, 0, h)
-        p, q, s, t = a0 * y + w, y, a0 * x + z, x
+        p, q, s, t = d * x - m * y, y, e, x
         ps, dqt, pt, qs = p * s, D * (q * t), p * t, q * s
         X, u = divmod(ps + dqt, d)
         Y, v = divmod(pt + qs, d)
         norm, want = (ps - dqt) ** 2 - D * (pt - qs) ** 2, -d * d
     else:
-        x, _, z, _ = _word_matrix(half, 0, h - 1)
-        p, q = a0 * x + z, x
+        p, q = e, x
         pp, dqq = p * p, D * (q * q)
         X, u = divmod(pp + dqq, d)
         Y, v = divmod(2 * p * q, d)
-        norm, want = pp - dqq, -d if h % 2 else d
+        norm, want = pp - dqq, -d if r // 2 % 2 else d
     if u or v or norm != want:
         raise AssertionError("pell value identity violated")
     return X, Y
+
+
+def _pell_from_half(D: int, a0: int, r: int, half: list[int], d: int, P: int) -> PellSolution:
+    """Fundamental solution of sqrt(D) from a0, the half word and ``d, P``.
+
+    ``d, P`` are d_h and P_{h+1} from ``_midpoint_walk``.  The row over
+    a_1 .. a_{h-1} (even r) or the whole half (odd r) goes to ``_unit``,
+    and the answer keeps ``_unit``'s arguments after D as ``_factors``
+    for ``harness.pell_cells``.
+    """
+    x, y = _word_row(half, 0, len(half) if r % 2 else len(half) - 1)
+    factors = r, d, P - a0, x, y
+    sol = PellSolution(*_unit(D, *factors), -1 if r % 2 else 1)
+    sol._factors = factors
+    return sol
 
 
 def _checked(D: int, p: int, q: int, value: int) -> PellSolution:
@@ -301,8 +356,9 @@ def _least_convergent_below(D: int, a0: int, C: int, y_max: int) -> PellSolution
     for the first k >= 1 with d_k < C, and the value is (-1)**k * d_k.
     As d_k = d_{r-k} for 0 < k < r and d_r = 1, that k lies in the first
     half of the period or is r, so the small-integer walk stops at k or
-    at the palindrome midpoint and the convergent is built once: a
-    balanced product over a_0 .. a_{k-1}, or the certified fundamental solution.
+    at the palindrome midpoint and the convergent is built once: from the
+    row (q_j, q_{j-1}) of a balanced product over a_1 .. a_j and the
+    walk's d_k and P_k, or the certified fundamental solution.
     C = 1 never hits and returns None at once.
 
     q_j never decreases in j, and log2 q_j >= max(sum(bitlen(a_i) - 1),
@@ -317,7 +373,7 @@ def _least_convergent_below(D: int, a0: int, C: int, y_max: int) -> PellSolution
     if C < 2:
         return None
     b = y_max.bit_length()
-    r, half, d = _midpoint_walk(D, a0, 4 * b - 2, below=C)
+    r, half, d, P = _midpoint_walk(D, a0, 4 * b - 2, below=C)
     if half is None:
         return None
     bits = sum(map(int.bit_length, half)) - len(half)
@@ -330,7 +386,8 @@ def _least_convergent_below(D: int, a0: int, C: int, y_max: int) -> PellSolution
     if max(bits, j // 2) >= b:
         return None
     if r is not None:
-        X, Y = _pell_from_half(D, a0, r, half, d)
-        return PellSolution(X, Y, -1 if r % 2 else 1) if Y <= y_max else None
-    x, _, z, _ = _word_matrix(half, 0, j)
-    return _checked(D, a0 * x + z, x, d if j % 2 else -d) if x <= y_max else None
+        sol = _pell_from_half(D, a0, r, half, d, P)
+        return sol if sol.Y <= y_max else None
+    q, q_prev = _word_row(half, 0, j)
+    p = (P - a0) * q + d * q_prev  # p_j = m_k*q_j + d_k*q_{j-1}, k = j + 1
+    return _checked(D, p, q, d if j % 2 else -d) if q <= y_max else None

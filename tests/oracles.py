@@ -50,19 +50,20 @@ def plain_states(D: int) -> Iterator[tuple[int, int, int]]:
         a = (a0 + P) // Q
 
 
-def plain_period(D: int) -> tuple[list[int], list[int]]:
-    """Period word a_1..a_r of sqrt(D) and Q_0..Q_r, independent of surdlab.
+def plain_period(D: int) -> tuple[list[int], list[int], list[int]]:
+    """Period word a_1..a_r of sqrt(D), Q_0..Q_r and P_0..P_r, independent of surdlab.
 
     Walks the whole period with the classical step of ``plain_states`` and
     stops at the first Q == 1, so it shares neither its step nor its stop
     rule with the midpoint walk.
     """
-    word, dens = [], [1]
-    for a, _, Q in islice(plain_states(D), 1, None):
+    word, dens, nums = [], [1], [0]
+    for a, P, Q in islice(plain_states(D), 1, None):
         word.append(a)
         dens.append(Q)
+        nums.append(P)
         if Q == 1:
-            return word, dens
+            return word, dens, nums
 
 
 def plain_period_word(D: int) -> list[int]:
@@ -71,23 +72,26 @@ def plain_period_word(D: int) -> list[int]:
 
 
 def plain_midpoint_walk(D: int, keep: int, below: int, period=None
-                        ) -> tuple[int | None, list[int] | None, int]:
+                        ) -> tuple[int | None, list[int] | None, int, int]:
     """What ``surd._midpoint_walk(D, a0, keep, below)`` returns, from a full period.
 
     Takes the whole period from ``plain_period`` (or ``period``, its
     result for D) and applies the walk's documented outcomes in its order
     of steps: a Q_j < ``below`` at some j <= h = r // 2 first, then, with
     ``below``, giving up after step keep // 2 + 1, and otherwise the
-    midpoint, where the word's first half is kept iff r <= ``keep``.
+    midpoint, where the word's first half is kept iff r <= ``keep``.  The
+    last two values are Q_j and a0 + P_j of the step j it stops at, or
+    Q_h and a0 + P_{h+1} at the midpoint.
     """
-    word, dens = period or plain_period(D)
+    word, dens, nums = period or plain_period(D)
+    a0 = math.isqrt(D)
     r, h, h_keep = len(word), len(word) // 2, keep // 2
     for j in range(1, min(h, h_keep + 1) + 1):
         if dens[j] < below:
-            return None, word[:j - 1], dens[j]
+            return None, word[:j - 1], dens[j], a0 + nums[j]
     if below and h > h_keep:
-        return None, None, dens[h_keep + 1]
-    return r, word[:h] if r <= keep else None, dens[h]
+        return None, None, dens[h_keep + 1], a0 + nums[h_keep + 1]
+    return r, word[:h] if r <= keep else None, dens[h], a0 + nums[h + 1]
 
 
 def fraction_keyed_normalize(raw_terms) -> PowerSumForm:

@@ -90,11 +90,13 @@ def test_cf_pell(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_cf_pell_prints_the_digits_of_a_big_solution(capsys, fmt):
-    # X and Y of 5000000029 have ~54,000 bits: text and CSV cells render
-    # them by divide and conquer, JSON through json.dumps.
-    D = 5_000_000_029
+@pytest.mark.parametrize("D", [5_000_000_009, 5_000_000_029])
+def test_cf_pell_prints_the_digits_of_a_big_solution(capsys, fmt, D):
+    # X and Y of 5000000009 (r even) and 5000000029 (r odd) have ~54,000
+    # bits: text and CSV cells print them from their half-size factors in
+    # decimal, JSON through json.dumps.
     X, Y, value = surd.fundamental_pell(D)
+    assert value == {5_000_000_009: 1, 5_000_000_029: -1}[D]  # (-1)**r
     assert Y.bit_length() > harness._STR_BITS
     code, out, _ = run(capsys, "cf", "pell", str(D), "--format", fmt)
     assert code == 0
@@ -1238,6 +1240,19 @@ def test_cf_commands_load_only_surd_and_the_emitter(argv):
     # json only where json is printed, and re with it (json's decoder
     # imports it); argparse never.
     assert stdlib == (["json", "re"] if "json" in argv else [])
+
+
+@pytest.mark.parametrize("argv, decimal", [
+    ("cf pell 5000000029 --format json", False),
+    ("cf pell 5000000029 --format csv", True),
+])
+def test_cf_pell_loads_decimal_only_to_print_big_cells(argv, decimal):
+    # cf pell 129, whose cells are small, loads none either
+    # (test_cf_commands_load_only_surd_and_the_emitter).
+    proc = _python("-S", "-c", _LOADED_BY, *shlex.split(argv))
+    assert proc.returncode == 0, proc.stderr
+    _, stdlib = ast.literal_eval(proc.stderr.decode())
+    assert ("decimal" in stdlib) == decimal
 
 
 def test_family_with_children_loads_no_pool_module(capsys):

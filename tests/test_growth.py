@@ -218,6 +218,8 @@ def test_capped_rows_build_no_convergent_past_twice_the_cap(monkeypatch):
 
     monkeypatch.setattr(surd, "_word_matrix", recording(
         surd._word_matrix, lambda m: max(m).bit_length()))
+    monkeypatch.setattr(surd, "_word_row", recording(
+        surd._word_row, lambda m: max(m).bit_length()))
     monkeypatch.setattr(surd, "_pell_from_half", recording(
         surd._pell_from_half, lambda pq: pq[1].bit_length()))
     cases = [(D, C, (1 << bits) - 1) for D in range(2, 3000) if not is_perfect_square(D)

@@ -25,7 +25,7 @@ from surdlab.harness import (
     run_identity_checks,
     suffix_min_periods,
 )
-from surdlab.surd import cf_sqrt
+from surdlab.surd import PellSolution, cf_sqrt, fundamental_pell
 
 from oracles import plain_period_word
 
@@ -186,6 +186,25 @@ def test_int_str_equals_str():
             assert int_str(v) == str(v)
     # Its exact context was a local one.
     assert decimal.getcontext().prec == decimal.Context().prec
+
+
+@pytest.mark.parametrize("D", [5_000_000_009, 5_000_000_029])
+def test_pell_cells_refuse_a_corrupted_factor(D):
+    sol = fundamental_pell(D)
+    assert sol.X.bit_length() > harness._STR_BITS
+    with digit_limit(0):
+        assert harness.pell_cells(D, sol) == (str(sol.X), str(sol.Y))
+        # (r, d, m, x, y): each half-size factor and the midpoint state, off by one.
+        for i in range(1, 5):
+            for delta in (-1, 1):
+                bad = PellSolution(*sol)
+                bad._factors = (*sol._factors[:i], sol._factors[i] + delta,
+                                *sol._factors[i + 1:])
+                with pytest.raises(AssertionError, match="pell value identity violated"):
+                    harness.pell_cells(D, bad)
+    # Under a digit limit the cells stay ints, which ``str`` refuses to print.
+    with digit_limit(4300):
+        assert harness.pell_cells(D, sol) == (sol.X, sol.Y)
 
 
 def test_int_str_keeps_the_digit_limit_of_str():

@@ -533,10 +533,11 @@ def test_below_walk_gives_up_past_the_kept_half(monkeypatch, keep):
     # than keep // 2 quotients, after keep // 2 + 1 steps.
     D = 2 * 4**10 + 1
     r = period_length(D)
-    d = next(d_k for _, _, d_k, k in cf_stream(D) if k == keep // 2 + 1)
+    m, d = next((m_k, d_k) for _, m_k, d_k, k in cf_stream(D) if k == keep // 2 + 1)
     counted = _count_to(keep // 2 + 1)
     monkeypatch.setattr(surd, "range", counted, raising=False)
-    assert surd._midpoint_walk(D, math.isqrt(D), keep, below=2) == (None, None, d)
+    assert (surd._midpoint_walk(D, math.isqrt(D), keep, below=2)
+            == (None, None, d, math.isqrt(D) + m))
     assert counted.turns == keep // 2 + 1
     monkeypatch.undo()
     # Without below the same walk drops the half and goes on to r.
@@ -568,10 +569,10 @@ def test_fundamental_pell_on_edge_periods_matches_plain_states(D, r):
 @pytest.mark.parametrize("D, r", [(19, 6), (13, 5)])
 def test_pell_from_half_refuses_a_wrong_quotient_or_d(D, r):
     a0 = math.isqrt(D)
-    walked, half, d = surd._midpoint_walk(D, a0, r)
+    walked, half, d, P = surd._midpoint_walk(D, a0, r)
     assert walked == r
-    X, Y, _, _ = linear_pell(D)
-    assert surd._pell_from_half(D, a0, r, half, d) == (X, Y)
+    X, Y, value, _ = linear_pell(D)
+    assert surd._pell_from_half(D, a0, r, half, d, P) == (X, Y, value)
     # Even r builds from a_1 .. a_{h-1} alone; odd r reads the whole half.
     for i in range(len(half) if r % 2 else len(half) - 1):
         for delta in (-1, 1):
@@ -579,19 +580,57 @@ def test_pell_from_half_refuses_a_wrong_quotient_or_d(D, r):
             bad[i] += delta
             if bad[i] > 0:
                 with pytest.raises(AssertionError, match="pell value identity violated"):
-                    surd._pell_from_half(D, a0, r, bad, d)
-    for bad_d in (d - 1, d + 1):
-        with pytest.raises(AssertionError, match="pell value identity violated"):
-            surd._pell_from_half(D, a0, r, half, bad_d)
+                    surd._pell_from_half(D, a0, r, bad, d, P)
+    # The midpoint state: d = d_h and P = P_{h+1}, which is P_h for even r.
+    for delta in (-1, 1):
+        for bad_d, bad_P in ((d + delta, P), (d, P + delta)):
+            with pytest.raises(AssertionError, match="pell value identity violated"):
+                surd._pell_from_half(D, a0, r, half, bad_d, bad_P)
 
 
-@pytest.mark.parametrize("D, a0, r, d", [(6, 1, 2, 5), (10, 1, 1, 3)])
-def test_pell_from_half_refuses_a_unit_that_does_not_divide(D, a0, r, d):
-    # A wrong a0 whose norm still matches d: 1 - 6 = -5, and
-    # N(1 + 0*sqrt(10)) * N(1 + sqrt(10)) = -9; only a remainder shows it.
+def test_pell_from_half_refuses_a_unit_that_does_not_divide():
+    # A wrong state whose norm still matches d: r = 2, h = 1 and P = 3
+    # give alpha_1 = 1 + sqrt(6), of norm -5 = -d, so only the remainder
+    # of (1 + 6)/5 shows it.  (For odd r the row makes d divide Y's
+    # numerator d*(q_h**2 + q_{h-1}**2) identically.)
+    D, r, d, P = 6, 2, 5, 3
     half = surd._midpoint_walk(D, math.isqrt(D), r)[1]
     with pytest.raises(AssertionError, match="pell value identity violated"):
-        surd._pell_from_half(D, a0, r, half, d)
+        surd._pell_from_half(D, math.isqrt(D), r, half, d, P)
+
+
+def test_word_row_is_the_first_row_of_word_matrix():
+    # 0 - 300 quotients: past the 64-quotient leaf and down the left spine.
+    rng = random.Random(37)
+    for n in range(301):
+        word = [rng.randrange(1, 1 << rng.randrange(1, 40)) for _ in range(n)]
+        lo = rng.randrange(n + 1)
+        for start in (0, lo):
+            assert surd._word_row(word, start, n) == surd._word_matrix(word, start, n)[:2]
+
+
+def test_midpoint_row_reads_p_below_2000():
+    # p_{k-1} = m_k*q_{k-1} + d_k*q_{k-2} at every k up to the midpoint
+    # state (h, or h + 1 for odd r), and p_{h-1} = d_h*q_h - m_{h+1}*q_{h-1}
+    # for odd r, against the classical convergents.
+    for D in range(2, 2000):
+        if is_perfect_square(D):
+            continue
+        word, dens, nums = plain_period(D)
+        r, h = len(word), len(word) // 2
+        p_prev, q_prev, p, q = 1, 0, math.isqrt(D), 1  # p_{-1}, q_{-1}, p_0, q_0
+        ps, qs = [p_prev, p], [q_prev, q]  # index j + 1 holds p_j, q_j
+        for a in word[:h]:
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+            ps.append(p)
+            qs.append(q)
+        for k in range(1, h + 1 + r % 2):
+            x, y = surd._word_row(word, 0, k - 1)
+            assert (x, y) == (qs[k], qs[k - 1]), (D, k)
+            assert ps[k] == nums[k] * x + dens[k] * y, (D, k)
+        if r % 2:
+            assert ps[h] == dens[h] * qs[h + 1] - nums[h + 1] * qs[h], D
 
 
 def test_fundamental_pell_is_certified_without_the_full_size_check(monkeypatch):
@@ -624,7 +663,7 @@ def test_fundamental_pell_matches_palindrome_product(D):
         assume(False)
     a0 = math.isqrt(D)
     # keep = 2*D >= r, as sqrt(D) has fewer than 2*D reduced states.
-    r, half, _ = surd._midpoint_walk(D, a0, 2 * D)
+    r, half = surd._midpoint_walk(D, a0, 2 * D)[:2]
     assert (sol.X, sol.Y) == palindrome_pell(a0, r, half)
     assert sol.X * sol.X - D * sol.Y * sol.Y == sol.value == (-1) ** r
 
